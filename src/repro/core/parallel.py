@@ -109,9 +109,11 @@ from .synchronous import SyncResult
 from .vectorized import (
     _DTYPE,
     VectorizedEngine,
+    affine_view,
     fold_edge_tables,
     gather_min_reduce,
     supports_vectorized,
+    table_row_bases,
 )
 
 #: auto-mode floor: below this many destinations the per-round IPC and
@@ -207,7 +209,8 @@ class _WorkerState:
         self.src = None
         self.importers = None
         self.starts = None
-        self.erange = None
+        self.row_bases = None
+        self.affine = None
         self.offsets: Dict[int, int] = {}
         self.degrees: Dict[int, int] = {}
         self.n = 0
@@ -255,7 +258,8 @@ def _worker_reload_tables(state: _WorkerState, meta: dict) -> None:
     state.src = np.asarray(meta["src"], dtype=np.intp)
     state.importers = np.asarray(meta["importers"], dtype=np.intp)
     state.starts = np.asarray(meta["starts"], dtype=np.intp)
-    state.erange = np.arange(n_edges)[:, None]
+    state.row_bases = table_row_bases(n_edges, size)
+    state.affine = affine_view(state.tables, state.starts)
     state.offsets = dict(meta["offsets"])
     state.degrees = dict(meta["degrees"])
 
@@ -277,8 +281,9 @@ def _worker_sigma(state: _WorkerState, full: bool) -> int:
         return 0
     C = state.C
     sub = C[:, cols]                     # copy: the round's frozen input
-    new = gather_min_reduce(sub, state.tables, state.src, state.erange,
-                            state.importers, state.starts, state.invalid)
+    new = gather_min_reduce(sub, state.tables, state.src, state.row_bases,
+                            state.importers, state.starts, state.invalid,
+                            affine=state.affine)
     new[cols, np.arange(cols.size)] = state.trivial    # Lemma 1 diagonal
     changed = (new != sub).any(axis=0)
     if not changed.any():

@@ -78,9 +78,11 @@ from .synchronous import SyncResult
 from .vectorized import (
     _DTYPE,
     VectorizedEngine,
+    affine_view,
     fold_edge_tables,
     gather_min_reduce,
     supports_vectorized,
+    table_row_bases,
 )
 from .wire import (
     MSG_ACK,
@@ -251,7 +253,8 @@ class _ShardState:
         self.carrier = 0
         self.tables = None
         self.src = None
-        self.erange = None
+        self.row_bases = None
+        self.affine = None
         self.importers = None
         self.starts = None
         self.offsets = {}
@@ -284,7 +287,8 @@ def _shard_load(state: _ShardState, meta: dict, tail: bytes) -> None:
     state.src = np.asarray(meta["src"], dtype=np.intp)
     state.importers = np.asarray(meta["importers"], dtype=np.intp)
     state.starts = np.asarray(meta["starts"], dtype=np.intp)
-    state.erange = np.arange(n_edges)[:, None]
+    state.row_bases = table_row_bases(n_edges, size)
+    state.affine = affine_view(state.tables, state.starts)
     # JSON turns int keys into strings; undo it
     state.offsets = {int(k): int(v) for k, v in meta["offsets"].items()}
     state.degrees = {int(k): int(v) for k, v in meta["degrees"].items()}
@@ -324,8 +328,10 @@ def _shard_sigma_round(state: _ShardState, full: bool) -> Tuple[int, bytes]:
     changed_count = 0
     if cols.size:
         sub = state.C[:, cols]           # copy: the round's frozen input
-        new = gather_min_reduce(sub, state.tables, state.src, state.erange,
-                                state.importers, state.starts, state.invalid)
+        new = gather_min_reduce(sub, state.tables, state.src,
+                                state.row_bases, state.importers,
+                                state.starts, state.invalid,
+                                affine=state.affine)
         new[state.lo + cols, np.arange(cols.size)] = state.trivial
         changed = (new != sub).any(axis=0)
         if changed.any():

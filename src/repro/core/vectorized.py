@@ -13,27 +13,35 @@ just a proof device — it is an implementation opportunity: encode the
 
       σ(C)[i][j] = min_k  T_{ik}[ C[k][j] ]        (diag forced to 0)
 
-  evaluated for *all* edges and destinations at once with one fancy
-  gather ``T[edge, C[src]]`` and one ``np.minimum.reduceat`` over the
-  per-importer edge groups — no per-route Python calls at all.
+  evaluated for *all* edges and destinations at once by one kernel,
+  :func:`gather_min_reduce` — exporter-row gathers and one
+  ``np.minimum.reduceat`` over the per-importer edge groups, in
+  destination-column blocks of bounded size — with no per-route Python
+  calls at all.  Tables of the clipped-shift form
+  ``T[x] = min(x + w, cap)`` (hop count, weighted chains) skip the
+  table lookup entirely: an add and a per-importer clip, verified exact
+  per topology version (:func:`affine_view`).
 
-Layered on the PR 1 dirty-set idea: entry ``(i, j)`` of σ(X) depends
-only on column ``j`` of ``X``, so columns are independent and a round
-needs to re-multiply only the **dirty columns** (those with an entry
-that changed last round).  An empty dirty-column set is exactly
-σ-stability, so fixed-point detection stays free.  δ activations use
-the same tables as per-activation gathers against a
-:class:`~repro.core.incremental.BoundedHistory` of code matrices, so
-asynchronous rounds are array ops too (`delta_run_vectorized`).
+Layered on the incremental engine's dirty-set idea: entry ``(i, j)``
+of σ(X) depends only on column ``j`` of ``X``, so columns are
+independent and a round needs to re-multiply only the **dirty
+columns** (those with an entry that changed last round).  An empty
+dirty-column set is exactly σ-stability, so fixed-point detection stays
+free.  δ activations use the same tables as per-activation gathers
+against a :class:`~repro.core.incremental.BoundedHistory` of code
+matrices, so asynchronous rounds are array ops too
+(`delta_run_vectorized`).
 
 Capability & fallback
 ---------------------
 
-This is the third rung of the four-engine ladder (naive → incremental
-→ **vectorized** → parallel): :mod:`repro.core.parallel` shards this
-engine's column-independent round over worker processes against
-shared-memory code matrices, and inherits its encoding and snapshot
-machinery from :class:`VectorizedEngine`.
+This is the ``vectorized`` rung of the six-engine ladder (naive →
+incremental → **vectorized** → parallel → batched → remote).  Every
+rung above it inherits its encoding and snapshot machinery from
+:class:`VectorizedEngine` and runs its σ kernel: :mod:`repro.core.parallel`
+and :mod:`repro.core.remote` shard the column-independent round over
+worker processes, and :class:`BatchedVectorizedEngine` stacks trials
+along the column axis.
 
 The engine needs numpy and a :class:`~repro.algebras.base.AlgebraEncoding`
 (finite carrier, injective preference keys, default route equality).
@@ -54,7 +62,7 @@ stale table behind — the vectorized mirror of the
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 try:
     import numpy as np
@@ -72,24 +80,120 @@ from .synchronous import SyncResult
 #: dtype for code matrices and tables; carriers are small, int32 is ample.
 _DTYPE = "int32"
 
+#: byte budget of one destination-column block of the σ kernel: a
+#: block's per-edge intermediate (``E × block`` in its widest dtype)
+#: stays under it, so a round allocates O(n² + budget) instead of
+#: O(E · n).  On gnp-400 (E ≈ 12.7k) 1 MiB is ≈41 columns on the
+#: affine path and ≈10 on the general one; in a 256 KiB–8 MiB sweep on a
+#: 2-core x86 VM it was the fastest on both paths (256 KiB pays the
+#: per-block overhead, 4 MiB and up fall out of cache).
+_BLOCK_BYTES = 1 << 20
 
-def gather_min_reduce(sub, tables, src, erange, importers, starts,
-                      invalid_code):
-    """The σ kernel: one gather/min-reduce over the columns of ``sub``.
 
-    ``sub`` is the (column-restricted) code matrix; the remaining
-    arguments are a topology snapshot in the flat layout built by
-    :meth:`VectorizedEngine.refresh`.  Returns the new values with
+def narrow_dtype(size: int):
+    """Narrowest dtype the σ kernel's affine sums and the batched
+    rung's stacked tensors fit in, for a ``size``-route carrier.
+
+    int16 halves the memory traffic of bandwidth-bound gathers; the
+    ``2 · size`` margin keeps the affine path's ``x + w`` in range.
+    """
+    return np.dtype(np.int16 if 2 * size < 32_000 else _DTYPE)
+
+
+class AffineView(NamedTuple):
+    """The clipped-shift form ``T[e, x] = min(x + w[e], cap[e])`` of a
+    snapshot's edge tables, in :func:`narrow_dtype` of the carrier."""
+
+    w: "np.ndarray"              #: (E,) shift per edge
+    cap: "np.ndarray"            #: (E,) cap per edge
+    importer_cap: "np.ndarray"   #: (importers,) min cap per edge group
+
+
+def affine_view(tables, starts) -> Optional[AffineView]:
+    """The :class:`AffineView` of ``tables``, or ``None`` when any
+    entry is not of the clipped-shift form (or there are no edges).
+
+    Many finite encodings produce such tables (hop count and weighted
+    chains: the carrier is preference-ordered, an edge adds a cost, ∞̄
+    absorbs).  The form is verified *element-wise* against the real
+    tables, so the fast path is exact or unused — never approximate.
+    ``starts`` are the importer group starts of the snapshot layout.
+    """
+    n_edges, size = tables.shape
+    if not n_edges:
+        return None
+    w = tables[:, 0]
+    cap = tables[:, -1]
+    shifted = np.arange(size, dtype=tables.dtype)[None, :] + w[:, None]
+    if not (tables == np.minimum(shifted, cap[:, None])).all():
+        return None
+    dtype = narrow_dtype(size)
+    return AffineView(w.astype(dtype), cap.astype(dtype),
+                      np.minimum.reduceat(cap, starts).astype(dtype))
+
+
+def table_row_bases(n_edges: int, size: int) -> "np.ndarray":
+    """``(E, 1)`` offsets of each edge's row in the flat table array —
+    the general-path argument of :func:`gather_min_reduce`."""
+    return (np.arange(n_edges, dtype=np.intp) * size)[:, None]
+
+
+def gather_min_reduce(sub, tables, src, row_bases, importers, starts,
+                      invalid_code, *, affine=None):
+    """The σ kernel: ``new[i, j] = min_k T_ik[sub[k, j]]`` over the
+    columns of ``sub``.
+
+    ``sub`` is the (column-restricted) ``(n, width)`` code matrix; the
+    remaining arguments are a topology snapshot in the flat layout built
+    by :meth:`VectorizedEngine.refresh` — ``src[e]`` the exporter of
+    edge ``e``, edges grouped by importer (``importers`` with group
+    ``starts``), ``row_bases[e] = e · carrier`` the offset of ``e``'s
+    row in ``tables.ravel()``.  Returns the new ``_DTYPE`` values with
     importer-less rows at ``invalid_code``; the Lemma-1 diagonal fix-up
     stays with the caller (it depends on which columns ``sub`` holds).
-    Single source of truth for the kernel — the serial engine and every
-    :mod:`repro.core.parallel` worker run exactly this code, so the
+
+    Two paths, both exact:
+
+    * *affine* (``affine`` is the snapshot's :class:`AffineView`): the
+      exporter rows are gathered in the view's narrow dtype, shifted by
+      ``w``, min-reduced per importer, then clipped once per importer by
+      the min cap — exact because
+      ``min_k min(a_k, c_k) = min(min_k a_k, min_k c_k)``;
+    * *general*: the gathered codes plus the row bases index the flat
+      table in one ``np.take``, then min-reduce per importer.
+
+    Both run over destination-column blocks sized from
+    :data:`_BLOCK_BYTES`, so the ``E × width`` intermediate never
+    exists whole.  Single source of truth for the kernel — the serial
+    engine, the batched σ and every :mod:`repro.core.parallel` /
+    :mod:`repro.core.remote` worker run exactly this code, so the
     master's σ-stability probe can never drift from the workers' rounds.
     """
+    width = sub.shape[1]
     new = np.full(sub.shape, invalid_code, dtype=_DTYPE)
-    if src.size:
-        extended = tables[erange, sub[src]]
-        new[importers] = np.minimum.reduceat(extended, starts, axis=0)
+    n_edges = src.size
+    if not n_edges or not width:
+        return new
+    if affine is None:
+        codes, flat = sub, tables.ravel()
+        per_entry = row_bases.itemsize   # the widest: the intp flat index
+    else:
+        codes = sub.astype(affine.w.dtype)
+        per_entry = codes.itemsize
+        shift = affine.w[:, None]
+        cap = affine.importer_cap[:, None]
+    block = max(1, _BLOCK_BYTES // (n_edges * per_entry))
+    for lo in range(0, width, block):
+        cols = slice(lo, lo + block)
+        ext = np.take(codes[:, cols], src, axis=0)
+        if affine is None:
+            red = np.minimum.reduceat(np.take(flat, ext + row_bases),
+                                      starts, axis=0)
+        else:
+            ext += shift
+            red = np.minimum.reduceat(ext, starts, axis=0)
+            np.minimum(red, cap, out=red)
+        new[importers, cols] = red
     return new
 
 
@@ -131,9 +235,10 @@ class VectorizedEngine:
     The engine snapshots the adjacency matrix into flat arrays —
     ``_src[e]`` (exporter of edge ``e``), ``_tables[e]`` (its dense
     lookup table), edges grouped by importer with group starts
-    ``_starts`` aligned to ``_importers`` — and refreshes the snapshot
-    whenever ``adjacency.version`` moves.  States cross the boundary via
-    :meth:`encode_state` / :meth:`decode_state`.
+    ``_starts`` aligned to ``_importers``, and the tables' verified
+    :class:`AffineView` ``_affine`` (``None`` when not affine) — and
+    refreshes the snapshot whenever ``adjacency.version`` moves.  States
+    cross the boundary via :meth:`encode_state` / :meth:`decode_state`.
     """
 
     #: advertised to the capability resolver (see
@@ -195,12 +300,13 @@ class VectorizedEngine:
         self._src = np.asarray(srcs, dtype=np.intp)
         self._tables = (np.asarray(tables, dtype=_DTYPE)
                         if n_edges else np.zeros((0, size), dtype=_DTYPE))
-        self._erange = np.arange(n_edges)[:, None]
+        self._row_bases = table_row_bases(n_edges, size)
         self._importers = np.asarray(importers, dtype=np.intp)
         starts = np.zeros(len(importers), dtype=np.intp)
         if len(importers) > 1:
             starts[1:] = np.cumsum(counts[:-1])
         self._starts = starts
+        self._affine = affine_view(self._tables, starts)
         offsets = {}
         degrees = {}
         offset = 0
@@ -260,9 +366,10 @@ class VectorizedEngine:
         restricted recompute exact, not approximate.
         """
         sub = C if cols is None else C[:, cols]
-        new = gather_min_reduce(sub, self._tables, self._src, self._erange,
-                                self._importers, self._starts,
-                                self.invalid_code)
+        new = gather_min_reduce(sub, self._tables, self._src,
+                                self._row_bases, self._importers,
+                                self._starts, self.invalid_code,
+                                affine=self._affine)
         if cols is None:
             np.fill_diagonal(new, self.trivial_code)  # Lemma 1
         else:
@@ -348,8 +455,8 @@ class BatchedVectorizedEngine(VectorizedEngine):
     runs every σ round / δ step for **all** trials per kernel
     invocation:
 
-    * σ: one table gather + ``minimum.reduceat`` over a ``(B, E, n)``
-      extension tensor (:meth:`_sigma_codes_batch`);
+    * σ: the shared σ kernel over the ``(n, B · n)`` column
+      concatenation of the stack (:meth:`_sigma_codes_batch`);
     * δ: the activations of *all* trials at step ``t`` are flattened
       into one ``(total edges, n)`` gather against a shared history
       ring widened by the batch axis — ``(W, B, n, n)`` — followed by a
@@ -408,48 +515,13 @@ class BatchedVectorizedEngine(VectorizedEngine):
 
     @property
     def _batch_dtype(self):
-        """Narrowest dtype the stacked code tensors fit in.
-
-        Finite carriers are small (hop bounds, levels); int16 halves
-        the memory traffic of every gather/fold/compare in the batched
-        step, which is bandwidth-bound.  The margin (``2 · size``)
-        keeps the affine fast path's ``x + w`` sum in range too.  A
-        session-installed :attr:`batch_dtype_override` wins (validated
-        against the carrier at install time).
-        """
+        """Dtype of the stacked code tensors: :func:`narrow_dtype` of
+        the carrier, unless a session-installed
+        :attr:`batch_dtype_override` (validated against the carrier at
+        install time) says otherwise."""
         if self.batch_dtype_override is not None:
             return self.batch_dtype_override
-        return np.int16 if 2 * self.encoding.size < 32_000 else _DTYPE
-
-    def _affine_tables(self):
-        """``(all_affine, w, cap)`` — the clipped-shift view of the
-        edge tables, when exact.
-
-        Many finite encodings produce tables of the form
-        ``T[x] = min(x + w, cap)`` (hop count and weighted chains: the
-        carrier is preference-ordered, an edge adds a cost, ∞̄ absorbs).
-        Verified *element-wise* against the real tables at snapshot
-        time, so the fast path is exact or unused — never approximate.
-        When it holds, the δ kernel's per-element table gather (a 2-D
-        fancy index, the most expensive op in the batched step) becomes
-        two SIMD-friendly arithmetic ops, in the batch dtype.
-        """
-        if getattr(self, "_affine_version", None) != self._version:
-            T = self._tables
-            if T.size:
-                w = T[:, :1]
-                cap = T[:, -1:]
-                size = T.shape[1]
-                ar = np.arange(size, dtype=_DTYPE)[None, :]
-                ok = bool((T == np.minimum(ar + w, cap)).all())
-                dtype = self._batch_dtype
-                w = w.astype(dtype)
-                cap = cap.astype(dtype)
-            else:
-                ok, w, cap = True, T, T
-            self._affine = (ok, w, cap)
-            self._affine_version = self._version
-        return self._affine
+        return narrow_dtype(self.encoding.size)
 
     def _slot_segment(self, comp, t: int, deg_arr, off_arr):
         """Flat read-time array over ``comp``'s active, degree > 0
@@ -487,13 +559,16 @@ class BatchedVectorizedEngine(VectorizedEngine):
     # -- σ ---------------------------------------------------------------
 
     def _sigma_codes_batch(self, C: "np.ndarray") -> "np.ndarray":
-        """One full σ round on a ``(B, n, n)`` stack of code matrices."""
+        """One full σ round on a ``(B, n, n)`` stack of code matrices.
+
+        Columns are independent, so the stack is one ``(n, B · n)``
+        column-concatenated matrix to the shared σ kernel."""
         B, n = C.shape[0], self._n
-        new = np.full((B, n, n), self.invalid_code, dtype=_DTYPE)
-        if self._src.size:
-            ext = self._tables[self._erange[None], C[:, self._src, :]]
-            new[:, self._importers, :] = np.minimum.reduceat(
-                ext, self._starts, axis=1)
+        wide = gather_min_reduce(
+            C.transpose(1, 0, 2).reshape(n, B * n), self._tables,
+            self._src, self._row_bases, self._importers, self._starts,
+            self.invalid_code, affine=self._affine)
+        new = np.ascontiguousarray(wide.reshape(n, B, n).transpose(1, 0, 2))
         diag = np.arange(n)
         new[:, diag, diag] = self.trivial_code   # Lemma 1, every trial
         return new
@@ -610,9 +685,10 @@ class BatchedVectorizedEngine(VectorizedEngine):
                 starts[1:] = np.cumsum(ed[:-1])
         if eb.size:
             gathered = ring[slot % W, rep_b, src_flat, :]
-            affine, w, cap = self._affine_tables()
-            if affine:
-                ext = np.minimum(gathered + w[edge_flat], cap[edge_flat])
+            affine = self._affine
+            if affine is not None:
+                ext = np.minimum(gathered + affine.w[edge_flat, None],
+                                 affine.cap[edge_flat, None])
             else:
                 ext = self._tables[edge_flat[:, None], gathered]
             folded = np.minimum.reduceat(ext, starts, axis=0)

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import random
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -82,6 +83,11 @@ from .core.state import Network, RoutingState
 from .core.synchronous import SyncResult, _iterate_sigma_resolved
 from .core.vectorized import sigma_churn, supports_vectorized
 from .core.wire import WireStats
+
+#: compiled schedules one session keeps, least recently used evicted
+#: first: a long-lived session that is handed a fresh schedule object
+#: per call stays bounded, while repeats inside a grid still hit.
+SCHEDULE_CACHE_CAP = 64
 
 
 def schedule_seed_version(schedules) -> Optional[int]:
@@ -435,7 +441,8 @@ class RoutingSession:
         self.network = network
         self.spec = spec or EngineSpec()
         self._engines: Dict[str, object] = {}
-        self._compiled: Dict[int, Tuple[Schedule, CompiledSchedule]] = {}
+        self._compiled: "OrderedDict[int, Tuple[Schedule, CompiledSchedule]]" \
+            = OrderedDict()
         self._closed = False
         self._finalizer = weakref.finalize(self, _close_engines,
                                            self._engines)
@@ -548,15 +555,20 @@ class RoutingSession:
     def compile_schedule(self, schedule: Schedule,
                          horizon: int) -> CompiledSchedule:
         """The session-cached compiled form of ``schedule`` (recompiled
-        only when a longer horizon is requested)."""
+        only when a longer horizon is requested); the cache holds the
+        :data:`SCHEDULE_CACHE_CAP` most recently used schedules."""
         key = id(schedule)
         entry = self._compiled.get(key)
         if entry is not None and entry[1].horizon >= horizon:
+            self._compiled.move_to_end(key)
             return entry[1]
         comp = CompiledSchedule.ensure(schedule, horizon)
         # the schedule object is retained alongside so the id() key can
-        # never be recycled by the allocator while the cache is alive
+        # never be recycled by the allocator while the entry is alive
         self._compiled[key] = (schedule, comp)
+        self._compiled.move_to_end(key)
+        while len(self._compiled) > SCHEDULE_CACHE_CAP:
+            self._compiled.popitem(last=False)
         return comp
 
     # -- σ ---------------------------------------------------------------

@@ -436,6 +436,35 @@ class TestManagedResources:
             comp3 = s.compile_schedule(sched, 500)
             assert comp3 is not comp1 and comp3.horizon >= 500
 
+    def test_schedule_compile_cache_is_bounded_lru(self):
+        from unittest import mock
+
+        from repro.core.schedule import CompiledSchedule
+        from repro.session import SCHEDULE_CACHE_CAP
+
+        net = _hop(6)
+        start = RoutingState.identity(net.algebra, net.n)
+        with RoutingSession(net, EngineSpec("batched")) as s:
+            for seed in range(1000):
+                s.compile_schedule(RandomSchedule(net.n, seed=seed), 20)
+            assert len(s._compiled) <= SCHEDULE_CACHE_CAP
+            # a schedule repeated across a grid's trials compiles once
+            sched = RandomSchedule(net.n, seed=5000, max_delay=3)
+            compiles = []
+            real = CompiledSchedule.ensure
+
+            def counting(schedule, horizon):
+                if not isinstance(schedule, CompiledSchedule):
+                    compiles.append(schedule)
+                return real(schedule, horizon)
+
+            with mock.patch.object(CompiledSchedule, "ensure",
+                                   staticmethod(counting)):
+                s.delta_grid([(sched, start)] * 3, max_steps=120)
+                s.delta_grid([(sched, start)], max_steps=120)
+            assert compiles == [sched]
+            assert len(s._compiled) <= SCHEDULE_CACHE_CAP
+
     def test_from_parts_shares_live_adjacency(self):
         net = _hop(6)
         with RoutingSession.from_parts(net.algebra, net.adjacency) as s:

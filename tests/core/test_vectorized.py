@@ -12,6 +12,7 @@ bounding.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from repro.algebras import (
     ShortestPathsAlgebra,
     good_gadget,
 )
+from repro.algebras.hop_count import ConditionalHopEdge
 from repro.algebras.stratified import STRAT_INVALID
 from repro.core import (
     FixedDelaySchedule,
@@ -37,6 +39,7 @@ from repro.core import (
     delta_run_vectorized,
     iterate_sigma,
     iterate_sigma_vectorized,
+    sigma,
     supports_vectorized,
 )
 from repro.protocols.simulator import Simulator
@@ -412,8 +415,6 @@ class TestHypothesisDeltaEquivalence:
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
     def test_vectorized_sigma_matches_naive_trajectory(self, data):
-        from repro.core import sigma
-
         net = data.draw(finite_table_networks())
         eng = VectorizedEngine(net)
         state = RoutingState.identity(net.algebra, net.n)
@@ -421,3 +422,199 @@ class TestHypothesisDeltaEquivalence:
             nxt = sigma(net, state)
             assert eng.sigma(state).equals(nxt, net.algebra)
             state = nxt
+
+
+# ----------------------------------------------------------------------
+# The σ kernel: differential test against the literal one-line gather
+# ----------------------------------------------------------------------
+
+
+def reference_gather_min_reduce(sub, tables, src, importers, starts,
+                                invalid_code):
+    """The σ kernel in its literal form — one 2-D fancy gather of every
+    edge table at every exporter code, min-reduced per importer."""
+    new = np.full(sub.shape, invalid_code, dtype="int32")
+    if src.size:
+        erange = np.arange(src.size)[:, None]
+        new[importers] = np.minimum.reduceat(tables[erange, sub[src]],
+                                             starts, axis=0)
+    return new
+
+
+#: carrier sizes on both sides of the int16 cut-off (2 · size < 32000)
+_SIZES = [2, 3, 17, 15_999, 16_000]
+
+
+def _affine_tables(draw, n_edges, size):
+    w = draw(st.lists(st.integers(0, size - 1), min_size=n_edges,
+                      max_size=n_edges))
+    cap = draw(st.lists(st.integers(0, size - 1), min_size=n_edges,
+                        max_size=n_edges))
+    x = np.arange(size)[None, :]
+    return np.minimum(x + np.asarray(w)[:, None],
+                      np.asarray(cap)[:, None]).astype("int32")
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A random snapshot in the kernel's flat layout plus a code matrix:
+    importer-less nodes, zero edges, affine or arbitrary tables, and
+    carriers on either side of the int16 cut-off."""
+    n = draw(st.integers(1, 9))
+    size = draw(st.sampled_from(_SIZES))
+    degrees = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    importers = np.asarray([i for i in range(n) if degrees[i]],
+                           dtype=np.intp)
+    counts = [d for d in degrees if d]
+    n_edges = sum(counts)
+    starts = np.zeros(len(counts), dtype=np.intp)
+    if counts:
+        starts[1:] = np.cumsum(counts[:-1])
+    src = np.asarray(draw(st.lists(st.integers(0, n - 1),
+                                   min_size=n_edges, max_size=n_edges)),
+                     dtype=np.intp)
+    if draw(st.booleans()):
+        tables = _affine_tables(draw, n_edges, size)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        tables = rng.integers(0, size, (n_edges, size)).astype("int32")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    C = rng.integers(0, size, (n, n)).astype("int32")
+    return C, tables.reshape(n_edges, size), src, importers, starts, size
+
+
+def _kernel(sub, tables, src, importers, starts, invalid):
+    from repro.core.vectorized import (
+        affine_view, gather_min_reduce, table_row_bases)
+
+    return gather_min_reduce(sub, tables, src,
+                             table_row_bases(*tables.shape),
+                             importers, starts, invalid,
+                             affine=affine_view(tables, starts))
+
+
+class TestSigmaKernel:
+    @given(inputs=kernel_inputs(), data=st.data(),
+           budget=st.sampled_from([1, 7, 64, 1000, None]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_literal_gather(self, inputs, data, budget):
+        from unittest import mock
+
+        import repro.core.vectorized as vec
+
+        C, tables, src, importers, starts, size = inputs
+        n = C.shape[0]
+        # every column, one column, or an arbitrary (non-contiguous)
+        # subset of them — the dirty-column restriction
+        picked = data.draw(st.sampled_from(["all", "one", "subset"]))
+        if picked == "all":
+            sub = C
+        elif picked == "one":
+            sub = C[:, [data.draw(st.integers(0, n - 1))]]
+        else:
+            cols = data.draw(st.lists(st.integers(0, n - 1), unique=True,
+                                      max_size=n))
+            sub = C[:, sorted(cols)]
+        invalid = size - 1
+        want = reference_gather_min_reduce(sub, tables, src, importers,
+                                           starts, invalid)
+        # a tiny byte budget forces blocks of one or a few columns, so
+        # most widths are not a multiple of the block
+        budget = vec._BLOCK_BYTES if budget is None else budget
+        with mock.patch.object(vec, "_BLOCK_BYTES", budget):
+            got = _kernel(sub, tables, src, importers, starts, invalid)
+        assert got.dtype == np.dtype("int32")
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("size,dtype", [(15_999, "int16"),
+                                            (16_000, "int32")])
+    def test_affine_view_dtype_follows_carrier(self, size, dtype):
+        from repro.core.vectorized import affine_view
+
+        tables = np.minimum(np.arange(size)[None, :] + np.array([[1], [3]]),
+                            size - 1).astype("int32")
+        view = affine_view(tables, np.array([0], dtype=np.intp))
+        assert view is not None
+        assert view.w.dtype == view.importer_cap.dtype == np.dtype(dtype)
+        assert view.importer_cap.tolist() == [size - 1]
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_changed_entry_turns_affine_view_off(self, data):
+        from repro.core.vectorized import affine_view
+
+        size = data.draw(st.integers(3, 20))
+        n_edges = data.draw(st.integers(1, 6))
+        tables = _affine_tables(data.draw, n_edges, size)
+        starts = np.array([0], dtype=np.intp)
+        assert affine_view(tables, starts) is not None
+        # an interior entry: w and cap are read off the end columns,
+        # so changing one of those may yield another affine table
+        e = data.draw(st.integers(0, n_edges - 1))
+        x = data.draw(st.integers(1, size - 2))
+        tables[e, x] = (tables[e, x] + data.draw(
+            st.integers(1, size - 1))) % size
+        assert affine_view(tables, starts) is None
+
+    def test_engine_snapshot_view_follows_topology(self):
+        net = _hop_net(n=12, p=0.4, seed=3)
+        eng = VectorizedEngine(net)
+        assert eng._affine is not None
+        alg = net.algebra
+        # a route map with a threshold (+1 below 3 hops, +2 from there)
+        # is not of the clipped-shift form: the next refresh switches
+        # the fast path off, and the round stays exact
+        net.set_edge(0, 1, ConditionalHopEdge(lambda a: a < 3, 1, 2,
+                                              alg.bound))
+        start = RoutingState.identity(alg, net.n)
+        got = eng.sigma(start)
+        assert eng._affine is None
+        assert got.equals(sigma(net, start), alg)
+
+
+# ----------------------------------------------------------------------
+# Bounded kernel memory
+# ----------------------------------------------------------------------
+
+
+def _dense_net(affine: bool, n: int):
+    if affine:
+        return _hop_net(n=n, p=0.9, seed=5)
+    rng = random.Random(5)
+    alg = FiniteLevelAlgebra(6)
+    fns = [alg.random_arbitrary_edge(rng) for _ in range(8)]
+    net = Network(alg, n, name="dense-finite")
+    for i in range(n):
+        for j in range(n):
+            if i != j and rng.random() < 0.9:
+                net.set_edge(i, j, fns[rng.randrange(len(fns))])
+    return net
+
+
+class TestKernelMemory:
+    @pytest.mark.parametrize("affine", [True, False],
+                             ids=["affine", "general"])
+    def test_sigma_round_allocates_o_n2_plus_budget(self, affine):
+        import tracemalloc
+
+        from repro.core.asynchronous import random_state
+        from repro.core.vectorized import _BLOCK_BYTES
+
+        n = 200
+        net = _dense_net(affine, n)
+        eng = VectorizedEngine(net)
+        assert (eng._affine is not None) == affine
+        C = eng.encode_state(random_state(net.algebra, n, random.Random(1)))
+        n_edges = eng._src.size
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            eng._sigma_codes(C)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # a handful of n × n matrices plus a few block-sized buffers ...
+        assert peak <= 16 * n * n + 4 * _BLOCK_BYTES, peak
+        # ... where one E × n int32 intermediate alone is ~8× more
+        assert peak * 4 < n_edges * n * 4, (peak, n_edges)
