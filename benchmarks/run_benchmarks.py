@@ -78,7 +78,6 @@ from repro.core import (
     SynchronousSchedule,
     VectorizedEngine,
     delta_run_vectorized,
-    iterate_sigma_parallel,
     iterate_sigma_vectorized,
     random_state,
     schedule_zoo,
@@ -898,7 +897,7 @@ def bench_parallel_case(case: Dict, repeats: int) -> Dict:
         # single-core runner: a timing sweep would only measure
         # oversubscription; verify agreement and skip the scaling claim
         with ParallelVectorizedEngine(net, workers=2) as eng:
-            res = iterate_sigma_parallel(net, start, engine=eng)
+            res = eng.iterate(start)
         row["skipped"] = (f"single-core host (usable_cpus()={cpus}): "
                           "worker scaling not measurable")
         row["fixed_points_equal"] = check(res)
@@ -918,10 +917,8 @@ def bench_parallel_case(case: Dict, repeats: int) -> Dict:
             # warm-up: the pool starts lazily on first use — spawn the
             # workers and publish the tables outside the timed region,
             # as the docstring's steady-state claim requires
-            iterate_sigma_parallel(net, start, engine=eng)
-            par_s, par_res = _time(
-                lambda: iterate_sigma_parallel(net, start, engine=eng),
-                repeats)
+            eng.iterate(start)
+            par_s, par_res = _time(lambda: eng.iterate(start), repeats)
         equal = equal and check(par_res)
         ratio = round(vec_s / par_s, 2) if par_s > 0 else None
         if ratio is not None:

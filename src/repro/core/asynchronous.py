@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .capabilities import warn_deprecated
+from .capabilities import logger as _engine_log, warn_deprecated
 from .incremental import BoundedHistory, DeltaRowCache
 from .schedule import Schedule
 from .state import Network, RoutingState
@@ -215,36 +215,35 @@ def _delta_run_resolved(network: Network, schedule: Schedule,
                         max_steps: int = 2_000,
                         stability_window: Optional[int] = None,
                         keep_history: bool = False,
-                        workers: Optional[int] = None,
                         engine_obj=None,
                         window: Optional[int] = None) -> AsyncResult:
     """Run δ on one *already negotiated* ladder rung (no fallback here).
 
     ``rung`` must come from an
-    :class:`~repro.core.capabilities.EngineResolution` — in particular
-    the parallel/batched rungs are only ever chosen for bounded
-    schedules without ``keep_history``.  ``engine_obj`` reuses a
-    prebuilt engine (a :class:`~repro.session.RoutingSession`'s managed
-    instance); ``window`` sets the parallel δ IPC window.  The
-    ``"naive"`` rung runs the strict literal paper recursion.
+    :class:`~repro.core.capabilities.EngineResolution`.  ``engine_obj``
+    is the rung's engine (a :class:`~repro.session.RoutingSession`'s
+    managed instance; required on the parallel and remote rungs, whose
+    ``keep_history`` and unbounded-schedule runs it serves as the serial
+    vectorized engine it also is); ``window`` sets their δ command
+    window.  The ``"naive"`` rung runs the strict literal recursion.
     """
-    if rung == "remote":
-        from .remote import delta_run_remote
-        return delta_run_remote(
-            network, schedule, start, max_steps=max_steps,
-            stability_window=stability_window, keep_history=keep_history,
-            engine=engine_obj, workers=workers, window=window)
+    if rung in ("parallel", "remote"):
+        if not keep_history and schedule.max_read_back() is not None:
+            return engine_obj.delta(schedule, start, max_steps=max_steps,
+                                    stability_window=stability_window,
+                                    window=window)
+        _engine_log.info(
+            "engine-skip rung=%s code=%s op=delta requested=%s "
+            "algebra=%s n=%d detail=per-run delegation to the serial "
+            "vectorized engine (engine reused for encoding)", rung,
+            "keep-history" if keep_history else "unbounded-schedule",
+            rung, network.algebra.name, network.n)
+        rung = "vectorized"
     if rung == "batched":
         from .vectorized import delta_run_batched
         return delta_run_batched(
             network, schedule, start, max_steps=max_steps,
             stability_window=stability_window, engine=engine_obj)
-    if rung == "parallel":
-        from .parallel import delta_run_parallel
-        return delta_run_parallel(
-            network, schedule, start, max_steps=max_steps,
-            stability_window=stability_window, keep_history=keep_history,
-            engine=engine_obj, workers=workers, window=window)
     if rung == "vectorized":
         # local import: vectorized imports AsyncResult from this module
         from .vectorized import delta_run_vectorized
@@ -325,7 +324,7 @@ def delta_run(network: Network, schedule: Schedule, start: RoutingState,
         :class:`~repro.session.DeltaReport`.  Delegates there and emits
         a :class:`DeprecationWarning`; results are bit-identical.
 
-    ``engine`` selects a rung of the five-engine ladder with the same
+    ``engine`` selects a rung of the six-engine ladder with the same
     fallback discipline as before (``"naive"`` is an alias for the
     strict literal recursion); ``strict=True`` runs
     :func:`delta_step_literal` with the full history; ``keep_history``

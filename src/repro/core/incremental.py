@@ -196,6 +196,12 @@ class DeltaRowCache:
         self._entries[i] = (src_rows, row)
 
 
+#: what every δ staleness error tells the user to do instead
+STALE_READ_REMEDY = ("run RoutingSession.delta(..., strict=True) or a "
+                     "session with EngineSpec(history=\"literal\") to keep "
+                     "the full history")
+
+
 class BoundedHistory:
     """Ring buffer of δ states indexed by *absolute* time.
 
@@ -205,7 +211,8 @@ class BoundedHistory:
     bounded-staleness schedule sized via
     :meth:`~repro.core.schedule.Schedule.max_read_back` this never
     happens; if it does, the schedule reaches further back than it
-    declared and the caller should use ``delta_run(..., strict=True)``.
+    declared and the caller should run
+    ``RoutingSession.delta(..., strict=True)``.
     """
 
     __slots__ = ("window", "_states", "_base")
@@ -228,8 +235,8 @@ class BoundedHistory:
             raise LookupError(
                 f"δ history for time {t} was evicted (window={self.window}, "
                 f"oldest retained={self._base}); the schedule reads further "
-                f"back than its declared max_read_back — run "
-                f"delta_run(..., strict=True) to keep the full history")
+                f"back than its declared max_read_back — "
+                f"{STALE_READ_REMEDY}")
         return self._states[idx]
 
     def __len__(self) -> int:

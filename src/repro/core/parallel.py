@@ -1,13 +1,21 @@
 """Shared-memory parallel σ/δ engine: destination-column sharding.
 
-The top rung of the four-engine ladder (naive → incremental →
-vectorized → **parallel**).  The vectorized engine already turned σ
-into a numpy table-gather min-product over the dirty columns of an
-``(n, n)`` int code matrix; this module distributes that product over a
-persistent pool of worker *processes*, exploiting the same structural
-fact one level up: entry ``(i, j)`` of σ(X) only ever reads **column
-j** of ``X``, so destination columns are fully independent and can be
-sharded with zero cross-worker synchronisation inside a round.
+The ``parallel`` rung of the six-engine ladder (naive → incremental →
+vectorized → **parallel** → batched → remote).  The vectorized engine
+already turned σ into a numpy table-gather min-product over the dirty
+columns of an ``(n, n)`` int code matrix; this module distributes that
+product over a persistent pool of worker *processes*, exploiting the
+same structural fact one level up: entry ``(i, j)`` of σ(X) only ever
+reads **column j** of ``X``, so destination columns are fully
+independent and can be sharded with zero cross-worker synchronisation
+inside a round.
+
+What a shard computes — the column split, the per-shard snapshot, the
+σ round over a block, the δ window over a ring of blocks, the
+coordinator's δ window planner — is :mod:`repro.core.shard`, shared
+with the TCP rung (:mod:`repro.core.remote`).  This module is the
+transport: shared memory for the matrices, one pipe per worker for
+the commands.
 
 Architecture
 ------------
@@ -18,33 +26,22 @@ Architecture
   process maps them as numpy views, so no matrix bytes are ever
   pickled.
 * Each worker owns a contiguous block of destination columns
-  ``[lo, hi)`` (``np.array_split`` layout).  One σ round is: read the
-  shared dirty bitmap over the owned block, gather-reduce new values
-  for those columns, write changed columns back **in place** (sound
-  because no other worker reads them), and flag them in the shared
-  next-dirty bitmap.  Only the tiny per-round command tuple and a
-  changed-column count cross the pipe — the dirty/fixed-point bitmaps
-  themselves live in shared memory.
+  ``[lo, hi)``.  One σ round is: read the shared dirty bitmap over the
+  owned block, run :func:`~repro.core.shard.sigma_round` on that block
+  of the shared ``C`` **in place** (sound because no other worker reads
+  it), and flag the changed columns in the shared next-dirty bitmap.
+  Only the tiny per-round command tuple and a changed-column count
+  cross the pipe.
 * An empty union of per-worker dirty sets is exactly σ-stability
   (Definition 4), so fixed-point detection stays free, as in the
   incremental and vectorized engines.
-* δ steps activate workers per ``(round, owned columns)``: the master
-  sends the activation list and the β read-back times (computed once
-  per ``(t, i, k)``), and each worker recomputes the active rows'
-  entries *restricted to its column block* against the shared history
-  ring — the row-sharded paper recursion re-expressed column-wise.
-* δ commands are **windowed**: one IPC command carries a whole window
-  of schedule steps (:data:`DELTA_WINDOW`, default 16) — the workers
-  already hold the history ring, so nothing about a step depends on
-  the master seeing its predecessor first — and the workers reply with
-  per-step changed flags the master folds into the usual convergence
-  counter.  This amortises the per-step pipe round-trip that dominated
-  high-activation-rate schedules (the ring is widened by the window so
-  a slot written inside a command can never alias a slot any of its
-  steps, or the master's post-window σ-stability probes, still need);
-  results are bit-identical to the per-step protocol because a run
-  that satisfies the convergence criterion at step ``t`` provably
-  cannot change at any later step the window already executed.
+* δ is **windowed**: the master plans a window of steps
+  (:class:`~repro.core.shard.DeltaPlan`, :data:`~repro.core.shard.DELTA_WINDOW`
+  by default) and sends it as one command; each worker runs it on its
+  block of the shared history ring (:func:`~repro.core.shard.delta_window`)
+  and replies with per-step changed flags.  One pipe round-trip per
+  window instead of per step amortises what dominated
+  high-activation-rate schedules, with bit-identical results.
 
 Fallback & selection
 --------------------
@@ -76,17 +73,17 @@ leave a worker computing against stale tables.
 Worker processes and shared-memory segments are released by
 :meth:`~ParallelVectorizedEngine.close` (idempotent; also a context
 manager), by a ``weakref.finalize`` hook when the engine is garbage
-collected, and by the driver functions' ``finally`` blocks for engines
-they created themselves — an exception anywhere in a run must never
-leak a segment or a process (``tests/core/test_parallel.py`` holds the
-engine to that).
+collected, and by :class:`~repro.session.RoutingSession` when the
+session closes — an exception anywhere in a run must never leak a
+segment or a process (``tests/core/test_parallel.py`` holds the engine
+to that).
 """
 
 from __future__ import annotations
 
 import os
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 try:
     import numpy as np
@@ -102,19 +99,21 @@ except ImportError:                      # pragma: no cover - stdlib
 
 from .algebra import UnsupportedAlgebraError
 from .asynchronous import AsyncResult
-from .capabilities import Capabilities, logger as _engine_log, register_engine
+from .capabilities import Capabilities, register_engine
 from .schedule import Schedule
+from .shard import (
+    DELTA_WINDOW,
+    DeltaPlan,
+    EdgeSnapshot,
+    delta_window,
+    sigma_round,
+    split_columns,
+)
 from .state import Network, RoutingState
 from .synchronous import SyncResult
-from .vectorized import (
-    _DTYPE,
-    VectorizedEngine,
-    affine_view,
-    fold_edge_tables,
-    gather_min_reduce,
-    supports_vectorized,
-    table_row_bases,
-)
+from .vectorized import _DTYPE, VectorizedEngine, supports_vectorized
+# the benchmark tracer patches these two names on this module by name
+from .vectorized import fold_edge_tables, gather_min_reduce  # noqa: F401
 
 #: auto-mode floor: below this many destinations the per-round IPC and
 #: process fan-out outweigh the numpy work being sharded — the
@@ -127,12 +126,6 @@ PARALLEL_MIN_N = 256
 
 #: seconds to wait on a worker reply before declaring the pool dead.
 _REPLY_TIMEOUT = 120.0
-
-#: default number of δ schedule steps shipped per worker command; at 16
-#: the per-step IPC command count drops ≥ 8× on any run longer than a
-#: couple of windows (the ISSUE 4 acceptance point), and the widened
-#: ring costs only ``window`` extra shared (n, n) slots.
-DELTA_WINDOW = 16
 
 
 def _mp_context():
@@ -203,21 +196,10 @@ class _WorkerState:
         self.C = None                    # (n, n) view of the code matrix
         self.dirty = None                # (n,) uint8 view (round input)
         self.next_dirty = None           # (n,) uint8 view (round output)
-        self.hist: List = []             # ring of (n, n) views (δ)
-        self.window = 0
-        self.tables = None
-        self.src = None
-        self.importers = None
-        self.starts = None
-        self.row_bases = None
-        self.affine = None
-        self.offsets: Dict[int, int] = {}
-        self.degrees: Dict[int, int] = {}
-        self.n = 0
+        self.ring: List = []             # δ ring: (n, width) block views
+        self.snap: Optional[EdgeSnapshot] = None
         self.lo = 0
         self.hi = 0
-        self.trivial = 0
-        self.invalid = 0
 
     def attach(self, key: str, name: str, shape, dtype):
         old = self.segments.pop(key, None)
@@ -239,10 +221,7 @@ class _WorkerState:
 def _worker_load(state: _WorkerState, meta: dict) -> None:
     """Attach the base segments and install the edge-table snapshot."""
     n = meta["n"]
-    state.n = n
     state.lo, state.hi = meta["block"]
-    state.trivial = meta["trivial"]
-    state.invalid = meta["invalid"]
     state.C = state.attach("C", meta["C"], (n, n), _DTYPE)
     state.dirty = state.attach("dirty", meta["dirty"], (n,), np.uint8)
     state.next_dirty = state.attach(
@@ -252,101 +231,33 @@ def _worker_load(state: _WorkerState, meta: dict) -> None:
 
 def _worker_reload_tables(state: _WorkerState, meta: dict) -> None:
     """(Re)install the topology snapshot after a publish/republish."""
-    n_edges, size = meta["tables_shape"]
-    state.tables = state.attach("tables", meta["tables"],
-                                (n_edges, size), _DTYPE)
-    state.src = np.asarray(meta["src"], dtype=np.intp)
-    state.importers = np.asarray(meta["importers"], dtype=np.intp)
-    state.starts = np.asarray(meta["starts"], dtype=np.intp)
-    state.row_bases = table_row_bases(n_edges, size)
-    state.affine = affine_view(state.tables, state.starts)
-    state.offsets = dict(meta["offsets"])
-    state.degrees = dict(meta["degrees"])
+    tables = state.attach("tables", meta["tables"],
+                          tuple(meta["tables_shape"]), _DTYPE)
+    state.snap = EdgeSnapshot.from_meta(meta, tables)
 
 
 def _worker_sigma(state: _WorkerState, full: bool) -> int:
     """One σ round over this worker's dirty columns; returns #changed.
 
-    Reads only the owned columns of ``C`` (plus the shared tables),
-    writes only the owned columns — the in-place update is sound
-    because entry ``(i, j)`` of σ(X) depends on column ``j`` alone and
-    column ownership is exclusive.
-    """
+    The block is a view of the shared ``C``; the shared dirty bitmaps
+    carry the round's input and output."""
     lo, hi = state.lo, state.hi
-    if full:
-        cols = np.arange(lo, hi)
-    else:
-        cols = lo + np.nonzero(state.dirty[lo:hi])[0]
-    if cols.size == 0:
-        return 0
-    C = state.C
-    sub = C[:, cols]                     # copy: the round's frozen input
-    new = gather_min_reduce(sub, state.tables, state.src, state.row_bases,
-                            state.importers, state.starts, state.invalid,
-                            affine=state.affine)
-    new[cols, np.arange(cols.size)] = state.trivial    # Lemma 1 diagonal
-    changed = (new != sub).any(axis=0)
-    if not changed.any():
-        return 0
-    changed_cols = cols[changed]
-    C[:, changed_cols] = new[:, changed]
-    state.next_dirty[changed_cols] = 1
-    return int(changed_cols.size)
+    cols = np.arange(hi - lo) if full else np.nonzero(state.dirty[lo:hi])[0]
+    changed = sigma_round(state.snap, state.C[:, lo:hi], lo, cols)
+    state.next_dirty[lo + changed] = 1
+    return int(changed.size)
 
 
-def _worker_history(state: _WorkerState, names: Sequence[str],
-                    window: int) -> None:
-    """Attach the δ history ring (``window`` shared code matrices)."""
-    n = state.n
+def _worker_history(state: _WorkerState, names: Sequence[str]) -> None:
+    """Attach the δ history ring (one shared code matrix per slot) and
+    keep this worker's column block of each slot."""
+    n = state.snap.n
     # detach any previous ring first (segment keys are positional)
     for key in [k for k in state.segments if k.startswith("hist:")]:
         state.segments.pop(key).close()
-    state.hist = [state.attach(f"hist:{i}", name, (n, n), _DTYPE)
-                  for i, name in enumerate(names)]
-    state.window = window
-
-
-def _worker_delta(state: _WorkerState,
-                  steps: Sequence[Tuple[int, Sequence]]) -> List[bool]:
-    """One *window* of δ steps restricted to the owned column block.
-
-    ``steps`` is ``[(t, acts)]`` for consecutive times, each ``acts``
-    being ``[(i, read_times)]`` for every active node with
-    ``read_times`` aligned to node ``i``'s in-edge order in the
-    snapshot.  Every step copies the previous ring slot's block into
-    the new one, overwrites active rows, and records whether anything
-    in the block changed; the per-step flags go back to the master in
-    one reply — the whole window costs a single pipe round-trip.
-    """
-    W = state.window
-    lo, hi = state.lo, state.hi
-    block = slice(lo, hi)
-    width = hi - lo
-    flags: List[bool] = []
-    for t, acts in steps:
-        prev = state.hist[(t - 1) % W]
-        nxt = state.hist[t % W]
-        nxt[:, block] = prev[:, block]
-        changed = False
-        for i, times in acts:
-            degree = state.degrees.get(i, 0)
-            if degree:
-                offset = state.offsets[i]
-                gathered = np.empty((degree, width), dtype=_DTYPE)
-                for idx in range(degree):
-                    k = int(state.src[offset + idx])
-                    gathered[idx] = state.hist[times[idx] % W][k, block]
-                row = fold_edge_tables(state.tables[offset:offset + degree],
-                                       gathered)
-            else:
-                row = np.full(width, state.invalid, dtype=_DTYPE)
-            if lo <= i < hi:
-                row[i - lo] = state.trivial
-            if not changed and not np.array_equal(row, prev[i, block]):
-                changed = True
-            nxt[i, block] = row
-        flags.append(changed)
-    return flags
+    state.ring = [
+        state.attach(f"hist:{i}", name, (n, n), _DTYPE)[:, state.lo:state.hi]
+        for i, name in enumerate(names)]
 
 
 def _worker_main(conn) -> None:
@@ -356,9 +267,10 @@ def _worker_main(conn) -> None:
 
     * ``("load", meta)``     — attach C/dirty/table segments → ack ``True``
     * ``("reload", meta)``   — swap in a republished table snapshot → ack
-    * ``("history", names, window)`` — attach the δ ring → ack ``True``
+    * ``("history", names)`` — attach the δ ring → ack ``True``
     * ``("sigma", full)``    — one σ round → #changed columns
-    * ``("delta", steps)``   — one *window* of δ steps → per-step flags
+    * ``("delta", steps)``   — one *window* of δ steps
+      (:func:`~repro.core.shard.delta_window`) → per-step flags
     * ``("stop",)``          — drain and exit
     """
     state = _WorkerState()
@@ -378,7 +290,8 @@ def _worker_main(conn) -> None:
                 if cmd == "sigma":
                     reply = _worker_sigma(state, msg[1])
                 elif cmd == "delta":
-                    reply = _worker_delta(state, msg[1])
+                    reply = delta_window(state.snap, state.lo, state.ring,
+                                         msg[1])
                 elif cmd == "load":
                     _worker_load(state, msg[1])
                     reply = True
@@ -386,7 +299,7 @@ def _worker_main(conn) -> None:
                     _worker_reload_tables(state, msg[1])
                     reply = True
                 elif cmd == "history":
-                    _worker_history(state, msg[1], msg[2])
+                    _worker_history(state, msg[1])
                     reply = True
                 else:                    # pragma: no cover - protocol bug
                     reply = RuntimeError(f"unknown command {cmd!r}")
@@ -520,25 +433,10 @@ class ParallelVectorizedEngine(VectorizedEngine):
         self._hist_segs: List = []
         self._hist_views: List = []
         self._window = 0
-        self._blocks = self._split_columns(network.n, resolved)
+        self._blocks = split_columns(network.n, resolved)
         #: IPC amortisation achieved by the most recent δ run
         self.delta_ipc_commands = 0
         self.delta_ipc_steps = 0
-
-    # -- layout ---------------------------------------------------------
-
-    @staticmethod
-    def _split_columns(n: int, workers: int) -> List[Tuple[int, int]]:
-        """Contiguous ``np.array_split``-style column blocks, one per
-        worker (first ``n % workers`` blocks get the extra column)."""
-        base, extra = divmod(n, workers)
-        blocks = []
-        lo = 0
-        for w in range(workers):
-            hi = lo + base + (1 if w < extra else 0)
-            blocks.append((lo, hi))
-            lo = hi
-        return blocks
 
     # -- pool / shared-memory lifecycle ----------------------------------
 
@@ -566,27 +464,15 @@ class ParallelVectorizedEngine(VectorizedEngine):
         seg = self._alloc(n * n * np.dtype(_DTYPE).itemsize)
         return seg, np.ndarray((n, n), dtype=_DTYPE, buffer=seg.buf)
 
-    def _table_meta(self, seg) -> dict:
-        """The picklable half of the snapshot: small index arrays travel
-        over the pipe, the dense tables stay in shared memory."""
-        return dict(
-            tables=seg.name,
-            tables_shape=tuple(self._tables.shape),
-            src=self._src.tolist(),
-            importers=self._importers.tolist(),
-            starts=self._starts.tolist(),
-            offsets=self._offsets,
-            degrees=self._degrees,
-        )
-
-    def _publish_tables(self):
-        """Copy the current edge-table snapshot into a fresh segment."""
-        seg = self._alloc(max(self._tables.nbytes, 1))
+    def _publish_tables(self) -> dict:
+        """Copy the edge tables into a fresh segment; returns the
+        picklable rest of the snapshot, which travels over the pipe."""
+        seg = self._seg_tables = self._alloc(max(self._tables.nbytes, 1))
         if self._tables.size:
             view = np.ndarray(self._tables.shape, dtype=_DTYPE,
                               buffer=seg.buf)
             view[:] = self._tables
-        return seg
+        return dict(self._snap.meta(), tables=seg.name)
 
     def _ensure_pool(self) -> None:
         """Start the workers (first use) or republish a stale snapshot."""
@@ -601,12 +487,10 @@ class ParallelVectorizedEngine(VectorizedEngine):
             self._seg_next = self._alloc(n)
             self._next_view = np.ndarray((n,), dtype=np.uint8,
                                          buffer=self._seg_next.buf)
-            self._seg_tables = self._publish_tables()
             base = dict(
-                n=n, trivial=self.trivial_code, invalid=self.invalid_code,
+                self._publish_tables(),
                 C=self._seg_C.name, dirty=self._seg_dirty.name,
-                next_dirty=self._seg_next.name,
-                **self._table_meta(self._seg_tables))
+                next_dirty=self._seg_next.name)
             for block in self._blocks:
                 parent, child = self._ctx.Pipe()
                 proc = self._ctx.Process(
@@ -621,9 +505,7 @@ class ParallelVectorizedEngine(VectorizedEngine):
             self._published_version = self._version
         elif self._published_version != self._version:
             old = self._seg_tables
-            self._seg_tables = self._publish_tables()
-            meta = self._table_meta(self._seg_tables)
-            self._broadcast(("reload", meta))
+            self._broadcast(("reload", self._publish_tables()))
             self._collect()              # all workers on the new snapshot
             if old is not None:
                 self._res.drop_segment(old)
@@ -665,7 +547,7 @@ class ParallelVectorizedEngine(VectorizedEngine):
             self._hist_views.append(view)
         self._window = window
         self._broadcast(("history",
-                         [s.name for s in self._hist_segs[:window]], window))
+                         [s.name for s in self._hist_segs[:window]]))
         self._collect()
 
     # -- σ ---------------------------------------------------------------
@@ -737,190 +619,38 @@ class ParallelVectorizedEngine(VectorizedEngine):
               window: Optional[int] = None) -> AsyncResult:
         """δ on the pool against the shared bounded history ring.
 
-        Requires a schedule with a declared staleness bound (reads are
-        policed against ``max_read_back + 2``, exactly the
-        :class:`~repro.core.incremental.BoundedHistory` window); the
-        ``delta_run`` selector routes unbounded schedules and
-        ``keep_history`` requests to the vectorized engine instead.
-        Identical convergence semantics: constant for a full stability
-        window *and* σ-stable (the σ probe runs on the master's local
-        snapshot — matrices never leave shared memory for it).
-
-        ``window`` schedule steps travel per IPC command
+        Requires a schedule with a declared staleness bound;
+        :class:`~repro.session.RoutingSession` routes unbounded
+        schedules and ``keep_history`` requests to the vectorized engine
+        instead.  ``window`` schedule steps travel per IPC command
         (:data:`DELTA_WINDOW` by default; 1 restores the per-step
-        protocol).  The workers execute the whole window against the
-        ring and reply with per-step changed flags; the master then
-        replays the convergence counter over the flags and probes
-        σ-stability on the retained ring slots, so a run converging at
-        step ``t`` mid-window reports exactly the serial result — the
-        criterion (constant for a full read-back window + σ-stable)
-        guarantees the already-executed later steps changed nothing.
+        protocol); the plan, its staleness guard and the convergence
+        fold are :class:`~repro.core.shard.DeltaPlan`'s, and the
+        σ-stability probe runs on the master's snapshot against the
+        retained ring slot — matrices never leave shared memory.
         ``delta_ipc_commands`` / ``delta_ipc_steps`` record the
         amortisation achieved by the last run.
         """
-        max_read_back = schedule.max_read_back()
-        if max_read_back is None:
-            raise UnsupportedAlgebraError(
-                "parallel δ needs a bounded-staleness schedule "
-                "(max_read_back() returned None); use "
-                "delta_run(..., engine='vectorized') or strict=True")
-        if stability_window is None:
-            stability_window = (max_read_back or 1) + 2
-        read_window = max_read_back + 2  # the BoundedHistory window
-        w = DELTA_WINDOW if window is None else max(1, int(window))
         self.refresh()
+        plan = DeltaPlan("parallel", schedule, self._snap, max_steps,
+                         stability_window, window)
         self._ensure_pool()
-        # ring sizing: the serial engines tolerate reads up to
-        # ``t - read_window`` (the oldest state BoundedHistory still
-        # retains while step t computes), and a windowed command writes
-        # ``w`` consecutive slots before the master sees any flag — so
-        # the ring holds ``w + read_window`` slots and the staleness
-        # guard below raises exactly where BoundedHistory would,
-        # keeping the "all engines compute exactly the same δᵗ"
-        # contract even for schedules that read slightly past their
-        # declaration.  The ring may be larger still (it is reused
-        # across runs and never shrinks): slot arithmetic uses the
-        # actual ring size, validation the schedule's declared window.
-        self._ensure_history(w + read_window)
+        # the ring may be larger than the plan needs (it is reused across
+        # runs and never shrinks): slot arithmetic uses the actual ring
+        # size, the staleness guard the schedule's declared window
+        self._ensure_history(plan.ring_slots)
         W = self._window
         self._hist_views[0][:] = self.encode_state(start)
-        beta, alpha = schedule.beta, schedule.alpha
-        in_neighbours = {
-            i: [int(self._src[self._offsets[i] + d])
-                for d in range(self._degrees[i])]
-            for i in self._degrees}
         self.delta_ipc_commands = 0
         self.delta_ipc_steps = 0
-        unchanged = 0
-        t0 = 1
-        while t0 <= max_steps:
-            w_eff = min(w, max_steps - t0 + 1)
-            steps = []
-            stale_error: Optional[LookupError] = None
-            for t in range(t0, t0 + w_eff):
-                acts = []
-                for i in sorted(alpha(t)):
-                    times = []
-                    for k in in_neighbours.get(i, ()):
-                        s = beta(t, i, k)
-                        # s < 0 violates S2 outright and would wrap the
-                        # ring modulo into an arbitrary slot;
-                        # s < t - read_window is exactly the read
-                        # BoundedHistory would refuse as evicted — fail
-                        # loudly either way
-                        if s < 0 or s >= t or t - s > read_window:
-                            stale_error = LookupError(
-                                f"δ history for time {s} is outside the "
-                                f"shared ring (window={read_window}, t={t}); "
-                                "the schedule reads further back than its "
-                                "declared max_read_back — run "
-                                "delta_run(..., strict=True) to keep the "
-                                "full history")
-                            break
-                        times.append(s)
-                    if stale_error is not None:
-                        break
-                    acts.append((i, times))
-                if stale_error is not None:
-                    # truncate the window at the offending step: the
-                    # per-step protocol executes (and may converge on)
-                    # every step before it without ever evaluating it,
-                    # so the windowed protocol must too — raise only if
-                    # the run is still going when that step is reached
-                    break
-                steps.append((t, acts))
-            if steps:
-                self._broadcast(("delta", steps))
-                self.delta_ipc_commands += 1
-                self.delta_ipc_steps += len(steps)
-                flags = self._collect()  # per worker: one flag per step
-                for off in range(len(steps)):
-                    t = t0 + off
-                    unchanged = 0 if any(f[off] for f in flags) \
-                        else unchanged + 1
-                    if unchanged >= stability_window:
-                        nxt = self._hist_views[t % W]
-                        if np.array_equal(self._sigma_codes(nxt), nxt):
-                            return AsyncResult(
-                                True, t, self.decode_state(nxt),
-                                t - unchanged, None,
-                                history_retained=min(t + 1, read_window))
-            if stale_error is not None:
-                raise stale_error
-            t0 += len(steps)
-        final = self._hist_views[max_steps % W]
-        return AsyncResult(False, max_steps, self.decode_state(final), None,
-                           None,
-                           history_retained=min(max_steps + 1, read_window))
-
-
-# ----------------------------------------------------------------------
-# Drivers (SyncResult / AsyncResult compatible)
-# ----------------------------------------------------------------------
-
-
-def iterate_sigma_parallel(network: Network, start: RoutingState,
-                           max_rounds: int = 10_000,
-                           keep_trajectory: bool = False,
-                           detect_cycles: bool = False,
-                           engine: Optional[ParallelVectorizedEngine] = None,
-                           workers: Optional[int] = None) -> SyncResult:
-    """Parallel drop-in for :func:`repro.core.synchronous.iterate_sigma`.
-
-    Pass ``engine`` to reuse a running pool across calls (its caches
-    and published snapshots auto-refresh on topology changes); without
-    one, a pool is started for the call and torn down in a ``finally``
-    — exceptions included, so no run can leak workers or segments.
-    """
-    eng = engine if engine is not None \
-        else ParallelVectorizedEngine(network, workers=workers)
-    try:
-        return eng.iterate(start, max_rounds=max_rounds,
-                           keep_trajectory=keep_trajectory,
-                           detect_cycles=detect_cycles)
-    finally:
-        if engine is None:
-            eng.close()
-
-
-def delta_run_parallel(network: Network, schedule: Schedule,
-                       start: RoutingState, max_steps: int = 2_000,
-                       stability_window: Optional[int] = None,
-                       keep_history: bool = False,
-                       engine: Optional[ParallelVectorizedEngine] = None,
-                       workers: Optional[int] = None,
-                       window: Optional[int] = None) -> AsyncResult:
-    """Parallel drop-in for :func:`repro.core.asynchronous.delta_run`.
-
-    ``keep_history`` and unbounded schedules delegate to the vectorized
-    engine (full decoded histories cannot live in a fixed shared ring);
-    everything else runs on the pool.  A caller-supplied ``engine`` is
-    reused even on the delegating path — a
-    :class:`ParallelVectorizedEngine` *is* a
-    :class:`~repro.core.vectorized.VectorizedEngine`, so its encoding
-    and table snapshot serve the serial run without re-encoding.
-    Engine ownership and cleanup as in :func:`iterate_sigma_parallel`.
-    ``window`` sets the number of schedule steps per worker command
-    (:data:`DELTA_WINDOW` default; 1 restores the per-step protocol).
-    """
-    if keep_history or schedule.max_read_back() is None:
-        _engine_log.info(
-            "engine-skip rung=parallel code=%s op=delta requested=parallel "
-            "algebra=%s n=%d detail=per-run delegation to the serial "
-            "vectorized engine (pool reused for encoding)",
-            "keep-history" if keep_history else "unbounded-schedule",
-            network.algebra.name, network.n)
-        from .vectorized import delta_run_vectorized
-        return delta_run_vectorized(network, schedule, start,
-                                    max_steps=max_steps,
-                                    stability_window=stability_window,
-                                    keep_history=keep_history,
-                                    engine=engine)
-    eng = engine if engine is not None \
-        else ParallelVectorizedEngine(network, workers=workers)
-    try:
-        return eng.delta(schedule, start, max_steps=max_steps,
-                         stability_window=stability_window, window=window)
-    finally:
-        if engine is None:
-            eng.close()
+        for steps in plan:
+            self._broadcast(("delta", steps))
+            self.delta_ipc_commands += 1
+            self.delta_ipc_steps += len(steps)
+            # per worker: one changed flag per step
+            for t in plan.candidates(self._collect()):
+                nxt = self._hist_views[t % W]
+                if np.array_equal(self._sigma_codes(nxt), nxt):
+                    return plan.converged(t, self.decode_state(nxt))
+        return plan.exhausted(
+            self.decode_state(self._hist_views[max_steps % W]))

@@ -12,15 +12,19 @@ protocols the shared-memory pool runs —
   replies with a delta-encoded summary of the columns that changed,
   which the coordinator applies to a local mirror of the full matrix.
   An empty union of changed columns is σ-stability, as everywhere else.
-* **δ**: the coordinator computes windowed activation commands exactly
-  like :meth:`ParallelVectorizedEngine.delta` (same
-  :data:`~repro.core.parallel.DELTA_WINDOW`, same ring sizing, same
+* **δ**: the coordinator plans windowed activation commands with the
+  same :class:`~repro.core.shard.DeltaPlan` as
+  :meth:`ParallelVectorizedEngine.delta` (same window, ring sizing and
   staleness guard), the workers execute them against local history
   rings and reply per-step changed flags; when the convergence counter
   fills, the coordinator *fetches* the candidate state (delta-encoded
   against the last fetch) and probes σ-stability on its local snapshot
   — so convergence decisions, round counts, and final states are
   bit-identical to the serial engines.
+
+What a shard computes is :mod:`repro.core.shard`, shared with the
+shared-memory pool; this module is the transport — framed TCP, the
+supervisor that heals a lost worker, δ checkpoints and wire accounting.
 
 Everything on the socket uses :mod:`repro.core.wire`: framed, versioned
 messages whose state payloads are delta-encoded and quantized (narrowest
@@ -71,19 +75,20 @@ from .capabilities import (
     register_engine,
 )
 from .faults import FaultPlan
-from .parallel import DELTA_WINDOW, _mp_context
+from .parallel import _mp_context
 from .schedule import Schedule
+from .shard import (
+    DeltaPlan,
+    EdgeSnapshot,
+    delta_window,
+    sigma_round,
+    split_columns,
+)
 from .state import Network, RoutingState
 from .synchronous import SyncResult
-from .vectorized import (
-    _DTYPE,
-    VectorizedEngine,
-    affine_view,
-    fold_edge_tables,
-    gather_min_reduce,
-    supports_vectorized,
-    table_row_bases,
-)
+from .vectorized import _DTYPE, VectorizedEngine, supports_vectorized
+# the benchmark tracer patches these two names on this module by name
+from .vectorized import fold_edge_tables, gather_min_reduce  # noqa: F401
 from .wire import (
     MSG_ACK,
     MSG_CKPT,
@@ -121,8 +126,6 @@ __all__ = [
     "serve_worker",
     "spawn_loopback_workers",
     "supports_remote",
-    "iterate_sigma_remote",
-    "delta_run_remote",
 ]
 
 #: below this many destinations the wire fan-out cannot pay; unlike the
@@ -216,19 +219,6 @@ def supports_remote(algebra) -> bool:
     return supports_vectorized(algebra)
 
 
-def _split_columns(n: int, workers: int) -> List[Tuple[int, int]]:
-    """Contiguous column blocks, one per worker — identical layout to
-    :meth:`ParallelVectorizedEngine._split_columns`."""
-    base, extra = divmod(n, workers)
-    blocks = []
-    lo = 0
-    for w in range(workers):
-        hi = lo + base + (1 if w < extra else 0)
-        blocks.append((lo, hi))
-        lo = hi
-    return blocks
-
-
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
@@ -245,20 +235,10 @@ class _ShardState:
     """
 
     def __init__(self):
-        self.n = 0
+        self.snap: Optional[EdgeSnapshot] = None
         self.lo = 0
         self.hi = 0
-        self.trivial = 0
-        self.invalid = 0
         self.carrier = 0
-        self.tables = None
-        self.src = None
-        self.row_bases = None
-        self.affine = None
-        self.importers = None
-        self.starts = None
-        self.offsets = {}
-        self.degrees = {}
         self.C = None                    # (n, width) σ block
         self.dirty = None                # (width,) bool, block-local
         self.baseline = None             # (n, width) last acked block
@@ -272,33 +252,24 @@ class _ShardState:
 
 def _shard_load(state: _ShardState, meta: dict, tail: bytes) -> None:
     """Install the topology snapshot: JSON meta + raw int32 tables."""
-    state.n = int(meta["n"])
     state.lo, state.hi = (int(v) for v in meta["block"])
-    state.trivial = int(meta["trivial"])
-    state.invalid = int(meta["invalid"])
     state.carrier = int(meta["carrier"])
     n_edges, size = (int(v) for v in meta["tables_shape"])
     if len(tail) != n_edges * size * 4:
         raise WireFormatError(
             f"table blob is {len(tail)} bytes, expected "
             f"{n_edges * size * 4} for shape ({n_edges}, {size})")
-    state.tables = np.frombuffer(tail, dtype="<i4").reshape(
+    tables = np.frombuffer(tail, dtype="<i4").reshape(
         n_edges, size).astype(_DTYPE)
-    state.src = np.asarray(meta["src"], dtype=np.intp)
-    state.importers = np.asarray(meta["importers"], dtype=np.intp)
-    state.starts = np.asarray(meta["starts"], dtype=np.intp)
-    state.row_bases = table_row_bases(n_edges, size)
-    state.affine = affine_view(state.tables, state.starts)
-    # JSON turns int keys into strings; undo it
-    state.offsets = {int(k): int(v) for k, v in meta["offsets"].items()}
-    state.degrees = {int(k): int(v) for k, v in meta["degrees"].items()}
+    state.snap = EdgeSnapshot.from_meta(meta, tables)
 
 
 def _invalid_block(state: _ShardState) -> "np.ndarray":
     """The all-invalid block every state install is delta-encoded
     against (identity starts diff only on the diagonal, so installs are
     nearly free on the wire)."""
-    return np.full((state.n, state.width), state.invalid, dtype=_DTYPE)
+    return np.full((state.snap.n, state.width), state.snap.invalid,
+                   dtype=_DTYPE)
 
 
 def _shard_sigma_init(state: _ShardState, blob: bytes) -> None:
@@ -309,39 +280,18 @@ def _shard_sigma_init(state: _ShardState, blob: bytes) -> None:
 
 
 def _shard_sigma_round(state: _ShardState, full: bool) -> Tuple[int, bytes]:
-    """One σ round over the block's dirty columns.
-
-    Same kernel and dirty discipline as the shared-memory pool's
-    ``_worker_sigma``, but the dirty set lives here (column ownership is
-    exclusive, so no other process ever needs it) and the changed
-    columns travel back as a delta-encoded update instead of being
-    written in place.
-    """
+    """One :func:`~repro.core.shard.sigma_round` over the block's dirty
+    columns (a block-local set: no other process needs it); the block
+    travels back delta-encoded against the last acknowledged one."""
     if state.C is None:
         raise RemoteError("sigma round before sigma init")
-    width = state.width
-    if full:
-        cols = np.arange(width)
-    else:
-        cols = np.nonzero(state.dirty)[0]
-    state.dirty = np.zeros(width, dtype=bool)
-    changed_count = 0
-    if cols.size:
-        sub = state.C[:, cols]           # copy: the round's frozen input
-        new = gather_min_reduce(sub, state.tables, state.src,
-                                state.row_bases, state.importers,
-                                state.starts, state.invalid,
-                                affine=state.affine)
-        new[state.lo + cols, np.arange(cols.size)] = state.trivial
-        changed = (new != sub).any(axis=0)
-        if changed.any():
-            changed_cols = cols[changed]
-            state.C[:, changed_cols] = new[:, changed]
-            state.dirty[changed_cols] = True
-            changed_count = int(changed_cols.size)
+    cols = np.arange(state.width) if full else np.nonzero(state.dirty)[0]
+    changed = sigma_round(state.snap, state.C, state.lo, cols)
+    state.dirty = np.zeros(state.width, dtype=bool)
+    state.dirty[changed] = True
     blob = encode_update(state.baseline, state.C, state.carrier)
     state.baseline[:] = state.C
-    return changed_count, blob
+    return int(changed.size), blob
 
 
 def _split_chained_blobs(tail: bytes, count: int) -> List[bytes]:
@@ -421,43 +371,6 @@ def _shard_ckpt(state: _ShardState, t: int, depth: int) -> Tuple[List[int],
     return ts, b"".join(parts)
 
 
-def _shard_delta_steps(state: _ShardState, steps: Sequence) -> List[bool]:
-    """One window of δ steps on the local ring — the pool's
-    ``_worker_delta`` re-expressed over private (n, width) blocks."""
-    if not state.ring:
-        raise RemoteError("delta steps before delta init")
-    W = state.window
-    lo, hi = state.lo, state.hi
-    width = state.width
-    flags: List[bool] = []
-    for t, acts in steps:
-        t = int(t)
-        prev = state.ring[(t - 1) % W]
-        nxt = state.ring[t % W]
-        nxt[:] = prev
-        changed = False
-        for i, times in acts:
-            i = int(i)
-            degree = state.degrees.get(i, 0)
-            if degree:
-                offset = state.offsets[i]
-                gathered = np.empty((degree, width), dtype=_DTYPE)
-                for idx in range(degree):
-                    k = int(state.src[offset + idx])
-                    gathered[idx] = state.ring[int(times[idx]) % W][k]
-                row = fold_edge_tables(state.tables[offset:offset + degree],
-                                       gathered)
-            else:
-                row = np.full(width, state.invalid, dtype=_DTYPE)
-            if lo <= i < hi:
-                row[i - lo] = state.trivial
-            if not changed and not np.array_equal(row, prev[i]):
-                changed = True
-            nxt[i] = row
-        flags.append(changed)
-    return flags
-
-
 def _shard_fetch(state: _ShardState, t: int) -> bytes:
     """Ship ring slot ``t`` as a delta against the last acked state."""
     if not state.ring:
@@ -489,7 +402,9 @@ def _dispatch(state: _ShardState, msg_type: int,
         return MSG_ACK, b""
     if msg_type == MSG_DELTA_STEPS:
         obj, _tail = unpack_payload(payload)
-        flags = _shard_delta_steps(state, obj["steps"])
+        if not state.ring:
+            raise RemoteError("delta steps before delta init")
+        flags = delta_window(state.snap, state.lo, state.ring, obj["steps"])
         return MSG_FLAGS, pack_payload({"flags": flags})
     if msg_type == MSG_FETCH:
         obj, _tail = unpack_payload(payload)
@@ -831,7 +746,7 @@ class RemoteVectorizedEngine(VectorizedEngine):
                 "use the vectorized engine instead")
         self._timeout = REMOTE_TIMEOUT if socket_timeout is None \
             else float(socket_timeout)
-        self._blocks = _split_columns(network.n, shards)
+        self._blocks = split_columns(network.n, shards)
         self.workers = shards
         #: supervision: ``strict=True`` surfaces every worker fault as
         #: the typed error immediately (no healing); otherwise up to
@@ -993,21 +908,12 @@ class RemoteVectorizedEngine(VectorizedEngine):
         self._shard_endpoints = reachable
         if not self._spawn:
             self._active_endpoints = reachable
-        self._blocks = _split_columns(self._n, len(conns))
+        self._blocks = split_columns(self._n, len(conns))
         self.workers = len(conns)
         self._bytes_base = (0, 0)
         tables_blob = np.ascontiguousarray(
             self._tables, dtype="<i4").tobytes()
-        base = dict(
-            n=self._n, trivial=self.trivial_code, invalid=self.invalid_code,
-            carrier=self.encoding.size,
-            tables_shape=list(self._tables.shape),
-            src=self._src.tolist(),
-            importers=self._importers.tolist(),
-            starts=self._starts.tolist(),
-            offsets=self._offsets,
-            degrees=self._degrees,
-        )
+        base = dict(self._snap.meta(), carrier=self.encoding.size)
         for idx, (lo, hi) in enumerate(self._blocks):
             self._send(idx, MSG_LOAD,
                        pack_payload(dict(base, block=[lo, hi]), tables_blob))
@@ -1259,15 +1165,20 @@ class RemoteVectorizedEngine(VectorizedEngine):
 
     # -- σ ---------------------------------------------------------------
 
-    def _load_state(self, M: "np.ndarray") -> None:
-        """Install ``M`` on the shards, delta-encoded vs. all-invalid."""
+    def _install(self, M: "np.ndarray", msg_type: int, head: dict) -> None:
+        """Send each shard its block of ``M``, delta-encoded vs.
+        all-invalid (the replies are collected by the caller)."""
         n = self._n
         for idx, (lo, hi) in enumerate(self._blocks):
             base = np.full((n, hi - lo), self.invalid_code, dtype=_DTYPE)
             blob = encode_update(base, M[:, lo:hi], self.encoding.size)
             self._bump(update=len(blob),
                        naive=naive_update_bytes(n, hi - lo))
-            self._send(idx, MSG_SIGMA_INIT, pack_payload({}, blob))
+            self._send(idx, msg_type, pack_payload(head, blob))
+
+    def _load_state(self, M: "np.ndarray") -> None:
+        """Install ``M`` on the shards for σ rounds."""
+        self._install(M, MSG_SIGMA_INIT, {})
         self._collect_acks()
 
     def _round(self, M: "np.ndarray", full: bool) -> int:
@@ -1453,9 +1364,9 @@ class RemoteVectorizedEngine(VectorizedEngine):
               window: Optional[int] = None) -> AsyncResult:
         """δ over the wire, windowed exactly like the shared-memory pool.
 
-        The coordinator computes the same windowed activation commands
-        (and the same staleness guard) as
-        :meth:`ParallelVectorizedEngine.delta`; workers execute them on
+        The coordinator plans the windows with the same
+        :class:`~repro.core.shard.DeltaPlan` as
+        :meth:`ParallelVectorizedEngine.delta`; workers run them on
         local rings and reply per-step changed flags.  Candidate states
         are *fetched* (delta-encoded against the previous fetch) and
         σ-probed on the coordinator's local snapshot, so convergence
@@ -1463,26 +1374,17 @@ class RemoteVectorizedEngine(VectorizedEngine):
         engines bit for bit.
 
         Supervised: a shard fault mid-run heals the pool and replays the
-        δ protocol on the rebuilt shards — the worker history rings died
-        with the pool, and schedules are pure deterministic functions,
-        so the replay reproduces the fault-free run bit for bit (steps,
-        convergence point, final state).  Every ``delta_ckpt_every``
-        windows the coordinator captures a **checkpoint** (the ring tail
-        each worker would need to continue, delta-encoded, via
-        :data:`~repro.core.wire.MSG_CKPT`), so the replay restarts from
-        the last checkpoint barrier instead of step 1: heal-time replay
-        is O(window), not O(steps into the run).
+        δ protocol on the rebuilt shards — schedules are pure, so the
+        replay reproduces the fault-free run bit for bit.  Every
+        ``delta_ckpt_every`` windows the coordinator captures a
+        **checkpoint** (the ring tail each worker would need to
+        continue, via :data:`~repro.core.wire.MSG_CKPT`), so the replay
+        restarts from the last checkpoint instead of step 1: heal-time
+        replay is O(window), not O(steps into the run).
         """
-        max_read_back = schedule.max_read_back()
-        if max_read_back is None:
-            raise UnsupportedAlgebraError(
-                "remote δ needs a bounded-staleness schedule "
-                "(max_read_back() returned None); use "
-                "delta_run(..., engine='vectorized') or strict=True")
-        if stability_window is None:
-            stability_window = (max_read_back or 1) + 2
-        read_window = max_read_back + 2  # the BoundedHistory window
-        w = DELTA_WINDOW if window is None else max(1, int(window))
+        # the snapshot is final: refresh() below raises if it went stale
+        plan = DeltaPlan("remote", schedule, self._snap, max_steps,
+                         stability_window, window)
         self.refresh()
         self._run_reset()
         self._delta_ckpt = None
@@ -1492,29 +1394,19 @@ class RemoteVectorizedEngine(VectorizedEngine):
         while True:
             try:
                 self._attempt_pool()
-                return self._delta_once(schedule, start, max_steps,
-                                        stability_window, w, read_window)
+                return self._delta_once(plan, start)
             except _ShardFault as fault:
                 self._heal(fault)
 
-    def _delta_once(self, schedule: Schedule, start: RoutingState,
-                    max_steps: int, stability_window: int, w: int,
-                    read_window: int) -> AsyncResult:
-        W = w + read_window
+    def _delta_once(self, plan: DeltaPlan,
+                    start: RoutingState) -> AsyncResult:
+        W = plan.ring_slots
         n = self._n
         ckpt = self._delta_ckpt
         if ckpt is None:
             # fresh start: ship the start state at ring slot 0
             M = self.encode_state(start)
-            for idx, (lo, hi) in enumerate(self._blocks):
-                base = np.full((n, hi - lo), self.invalid_code,
-                               dtype=_DTYPE)
-                blob = encode_update(base, M[:, lo:hi],
-                                     self.encoding.size)
-                self._bump(update=len(blob),
-                           naive=naive_update_bytes(n, hi - lo))
-                self._send(idx, MSG_DELTA_INIT,
-                           pack_payload({"window": W}, blob))
+            self._install(M, MSG_DELTA_INIT, {"window": W})
             unchanged = 0
             t0 = 1
         else:
@@ -1549,154 +1441,29 @@ class RemoteVectorizedEngine(VectorizedEngine):
                 "re-installed; replay skipped %d step(s))",
                 ckpt["t"], len(slot_ts), ckpt["t"])
         self._collect_acks()
-        beta, alpha = schedule.beta, schedule.alpha
-        in_neighbours = {
-            i: [int(self._src[self._offsets[i] + d])
-                for d in range(self._degrees[i])]
-            for i in self._degrees}
+        plan.start(t0, unchanged)
         self.delta_ipc_commands = 0
         self.delta_ipc_steps = 0
         windows_done = 0
-        while t0 <= max_steps:
-            w_eff = min(w, max_steps - t0 + 1)
-            steps = []
-            stale_error: Optional[LookupError] = None
-            for t in range(t0, t0 + w_eff):
-                acts = []
-                for i in sorted(alpha(t)):
-                    times = []
-                    for k in in_neighbours.get(i, ()):
-                        s = beta(t, i, k)
-                        # identical guard to the pool: s < 0 violates S2,
-                        # s < t - read_window is a read BoundedHistory
-                        # would refuse as evicted
-                        if s < 0 or s >= t or t - s > read_window:
-                            stale_error = LookupError(
-                                f"δ history for time {s} is outside the "
-                                f"worker ring (window={read_window}, t={t}); "
-                                "the schedule reads further back than its "
-                                "declared max_read_back — run "
-                                "delta_run(..., strict=True) to keep the "
-                                "full history")
-                            break
-                        times.append(int(s))
-                    if stale_error is not None:
-                        break
-                    acts.append((int(i), times))
-                if stale_error is not None:
-                    # truncate at the offending step: the per-step
-                    # protocol may converge before ever evaluating it
-                    break
-                steps.append((t, acts))
-            if steps:
-                head = pack_payload({"steps": steps})
-                for idx in range(len(self._blocks)):
-                    self._send(idx, MSG_DELTA_STEPS, head)
-                self.delta_ipc_commands += 1
-                self.delta_ipc_steps += len(steps)
-                flags = []
-                for idx in range(len(self._blocks)):
-                    obj, _tail = self._expect(idx, MSG_FLAGS)
-                    flags.append(obj["flags"])
-                self._bump(rounds=1)
-                self._acked += 1
-                for off in range(len(steps)):
-                    t = t0 + off
-                    unchanged = 0 if any(f[off] for f in flags) \
-                        else unchanged + 1
-                    if unchanged >= stability_window:
-                        self._fetch(M, t)
-                        if np.array_equal(self._sigma_codes(M), M):
-                            return AsyncResult(
-                                True, t, self.decode_state(M),
-                                t - unchanged, None,
-                                history_retained=min(t + 1, read_window))
-                windows_done += 1
-                if stale_error is None and self.delta_ckpt_every > 0 \
-                        and self._retries_left > 0 \
-                        and windows_done % self.delta_ckpt_every == 0:
-                    self._capture_delta_ckpt(M, t0 + len(steps) - 1,
-                                             read_window, unchanged)
-            if stale_error is not None:
-                raise stale_error
-            t0 += len(steps)
-        self._fetch(M, max_steps)
-        return AsyncResult(False, max_steps, self.decode_state(M), None,
-                           None,
-                           history_retained=min(max_steps + 1, read_window))
-
-
-# ----------------------------------------------------------------------
-# Drivers (SyncResult / AsyncResult compatible)
-# ----------------------------------------------------------------------
-
-
-def iterate_sigma_remote(network: Network, start: RoutingState,
-                         max_rounds: int = 10_000,
-                         keep_trajectory: bool = False,
-                         detect_cycles: bool = False,
-                         engine: Optional[RemoteVectorizedEngine] = None,
-                         workers: Optional[int] = None,
-                         endpoints: Optional[Sequence] = None,
-                         socket_timeout: Optional[float] = None) -> SyncResult:
-    """Remote drop-in for :func:`repro.core.synchronous.iterate_sigma`.
-
-    Pass ``engine`` to reuse live worker connections across calls;
-    without one, loopback workers (``workers``, default 2) or the given
-    ``endpoints`` serve this call and are torn down in a ``finally``.
-    """
-    eng = engine if engine is not None \
-        else RemoteVectorizedEngine(network, endpoints=endpoints,
-                                    workers=workers or (0 if endpoints
-                                                        else 2),
-                                    socket_timeout=socket_timeout)
-    try:
-        return eng.iterate(start, max_rounds=max_rounds,
-                           keep_trajectory=keep_trajectory,
-                           detect_cycles=detect_cycles)
-    finally:
-        if engine is None:
-            eng.close()
-
-
-def delta_run_remote(network: Network, schedule: Schedule,
-                     start: RoutingState, max_steps: int = 2_000,
-                     stability_window: Optional[int] = None,
-                     keep_history: bool = False,
-                     engine: Optional[RemoteVectorizedEngine] = None,
-                     workers: Optional[int] = None,
-                     endpoints: Optional[Sequence] = None,
-                     socket_timeout: Optional[float] = None,
-                     window: Optional[int] = None) -> AsyncResult:
-    """Remote drop-in for :func:`repro.core.asynchronous.delta_run`.
-
-    ``keep_history`` and unbounded schedules delegate to the serial
-    vectorized engine (full decoded histories cannot live in the
-    workers' fixed rings) — a caller-supplied ``engine`` is reused even
-    then, since a :class:`RemoteVectorizedEngine` *is* a
-    :class:`~repro.core.vectorized.VectorizedEngine`.
-    """
-    if keep_history or schedule.max_read_back() is None:
-        _engine_log.info(
-            "engine-skip rung=remote code=%s op=delta requested=remote "
-            "algebra=%s n=%d detail=per-run delegation to the serial "
-            "vectorized engine (snapshot reused for encoding)",
-            "keep-history" if keep_history else "unbounded-schedule",
-            network.algebra.name, network.n)
-        from .vectorized import delta_run_vectorized
-        return delta_run_vectorized(network, schedule, start,
-                                    max_steps=max_steps,
-                                    stability_window=stability_window,
-                                    keep_history=keep_history,
-                                    engine=engine)
-    eng = engine if engine is not None \
-        else RemoteVectorizedEngine(network, endpoints=endpoints,
-                                    workers=workers or (0 if endpoints
-                                                        else 2),
-                                    socket_timeout=socket_timeout)
-    try:
-        return eng.delta(schedule, start, max_steps=max_steps,
-                         stability_window=stability_window, window=window)
-    finally:
-        if engine is None:
-            eng.close()
+        for steps in plan:
+            head = pack_payload({"steps": steps})
+            for idx in range(len(self._blocks)):
+                self._send(idx, MSG_DELTA_STEPS, head)
+            self.delta_ipc_commands += 1
+            self.delta_ipc_steps += len(steps)
+            flags = [self._expect(idx, MSG_FLAGS)[0]["flags"]
+                     for idx in range(len(self._blocks))]
+            self._bump(rounds=1)
+            self._acked += 1
+            for t in plan.candidates(flags):
+                self._fetch(M, t)
+                if np.array_equal(self._sigma_codes(M), M):
+                    return plan.converged(t, self.decode_state(M))
+            windows_done += 1
+            if plan.stale is None and self.delta_ckpt_every > 0 \
+                    and self._retries_left > 0 \
+                    and windows_done % self.delta_ckpt_every == 0:
+                self._capture_delta_ckpt(M, steps[-1][0], plan.read_window,
+                                         plan.unchanged)
+        self._fetch(M, plan.max_steps)
+        return plan.exhausted(self.decode_state(M))

@@ -137,26 +137,20 @@ def _iterate_sigma_resolved(network: Network, start: RoutingState,
                             rung: str, max_rounds: int = 10_000,
                             keep_trajectory: bool = False,
                             detect_cycles: bool = False,
-                            workers: Optional[int] = None,
                             engine_obj=None) -> SyncResult:
     """Run the σ iteration on one *already negotiated* ladder rung.
 
     ``rung`` must be the ``chosen`` field of an
     :class:`~repro.core.capabilities.EngineResolution` — no further
-    fallback happens here.  ``engine_obj`` optionally reuses a prebuilt
-    vectorized/parallel/batched engine (the
+    fallback happens here.  ``engine_obj`` is the rung's engine (the
     :class:`~repro.session.RoutingSession` passes its managed
-    instances); without one, pool-based rungs build and tear down their
-    own resources per call.
+    instances): required on the parallel and remote rungs, optional on
+    the vectorized and batched ones.
     """
-    if rung == "remote":
-        # local import: remote imports SyncResult from this module
-        from .remote import iterate_sigma_remote
-        return iterate_sigma_remote(
-            network, start, max_rounds=max_rounds,
-            keep_trajectory=keep_trajectory,
-            detect_cycles=detect_cycles, engine=engine_obj,
-            workers=workers)
+    if rung in ("parallel", "remote"):
+        return engine_obj.iterate(start, max_rounds=max_rounds,
+                                  keep_trajectory=keep_trajectory,
+                                  detect_cycles=detect_cycles)
     if rung == "batched":
         # local import: vectorized imports SyncResult from this module
         from .vectorized import iterate_sigma_batched
@@ -164,14 +158,6 @@ def _iterate_sigma_resolved(network: Network, start: RoutingState,
             network, [start], max_rounds=max_rounds,
             keep_trajectory=keep_trajectory,
             detect_cycles=detect_cycles, engine=engine_obj)[0]
-    if rung == "parallel":
-        # local import: parallel imports SyncResult from this module
-        from .parallel import iterate_sigma_parallel
-        return iterate_sigma_parallel(
-            network, start, max_rounds=max_rounds,
-            keep_trajectory=keep_trajectory,
-            detect_cycles=detect_cycles, engine=engine_obj,
-            workers=workers)
     if rung == "vectorized":
         # local import: vectorized imports SyncResult from this module
         from .vectorized import iterate_sigma_vectorized

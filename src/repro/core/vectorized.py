@@ -69,10 +69,11 @@ try:
 except ImportError:                      # pragma: no cover - numpy is baked in
     np = None
 
+from . import shard as _shard
 from .algebra import RoutingAlgebra, UnsupportedAlgebraError
 from .asynchronous import AbsoluteConvergenceReport, AsyncResult
 from .capabilities import Capabilities, register_engine
-from .incremental import BoundedHistory
+from .incremental import STALE_READ_REMEDY, BoundedHistory
 from .schedule import CompiledSchedule, Schedule
 from .state import Network, RoutingState
 from .synchronous import SyncResult
@@ -165,9 +166,9 @@ def gather_min_reduce(sub, tables, src, row_bases, importers, starts,
     Both run over destination-column blocks sized from
     :data:`_BLOCK_BYTES`, so the ``E × width`` intermediate never
     exists whole.  Single source of truth for the kernel — the serial
-    engine, the batched σ and every :mod:`repro.core.parallel` /
-    :mod:`repro.core.remote` worker run exactly this code, so the
-    master's σ-stability probe can never drift from the workers' rounds.
+    engine, the batched σ and every :mod:`repro.core.shard` column
+    block run exactly this code, so a coordinator's σ-stability probe
+    can never drift from its shards' rounds.
     """
     width = sub.shape[1]
     new = np.full(sub.shape, invalid_code, dtype=_DTYPE)
@@ -202,8 +203,9 @@ def fold_edge_tables(tables, gathered):
     slice and ⊕ (= ``min`` on codes) across the neighbours.
 
     ``tables`` is the ``(degree, carrier)`` slice for one importer and
-    ``gathered`` the ``(degree, width)`` historic reads; shared by
-    :meth:`VectorizedEngine._delta_row` and the parallel workers.
+    ``gathered`` the ``(degree, width)`` historic reads; called by
+    :func:`repro.core.shard.delta_row` for the serial engine and every
+    shard.
     """
     degree = gathered.shape[0]
     return tables[np.arange(degree)[:, None], gathered].min(axis=0)
@@ -300,22 +302,19 @@ class VectorizedEngine:
         self._src = np.asarray(srcs, dtype=np.intp)
         self._tables = (np.asarray(tables, dtype=_DTYPE)
                         if n_edges else np.zeros((0, size), dtype=_DTYPE))
-        self._row_bases = table_row_bases(n_edges, size)
         self._importers = np.asarray(importers, dtype=np.intp)
         starts = np.zeros(len(importers), dtype=np.intp)
         if len(importers) > 1:
             starts[1:] = np.cumsum(counts[:-1])
         self._starts = starts
-        self._affine = affine_view(self._tables, starts)
-        offsets = {}
-        degrees = {}
-        offset = 0
-        for i, count in zip(importers, counts):
-            offsets[i] = offset
-            degrees[i] = count
-            offset += count
-        self._offsets = offsets
-        self._degrees = degrees
+        #: the same snapshot in the shard core's form, which derives the
+        #: group offsets and degrees, the row bases and the affine view
+        #: exactly as every shard does
+        snap = self._snap = _shard.EdgeSnapshot(
+            n, self._tables, self._src, self._importers, starts,
+            self.trivial_code, self.invalid_code)
+        self._offsets, self._degrees = snap.offsets, snap.degrees
+        self._row_bases, self._affine = snap.row_bases, snap.affine
         self._version = adjacency.version
 
     # ------------------------------------------------------------------
@@ -363,18 +362,12 @@ class VectorizedEngine:
         """One σ round on codes, over all columns or just ``cols``.
 
         Column independence (entry (i, j) reads only column j) makes the
-        restricted recompute exact, not approximate.
+        restricted recompute exact, not approximate; the step itself is
+        the shard core's :func:`~repro.core.shard.sigma_columns`.
         """
-        sub = C if cols is None else C[:, cols]
-        new = gather_min_reduce(sub, self._tables, self._src,
-                                self._row_bases, self._importers,
-                                self._starts, self.invalid_code,
-                                affine=self._affine)
         if cols is None:
-            np.fill_diagonal(new, self.trivial_code)  # Lemma 1
-        else:
-            new[cols, np.arange(len(cols))] = self.trivial_code
-        return new
+            return _shard.sigma_columns(self._snap, C, np.arange(self._n))
+        return _shard.sigma_columns(self._snap, C[:, cols], cols)
 
     def _advance(self, C: "np.ndarray", dirty: Optional["np.ndarray"]):
         """``(C, dirty columns) → (σ(C), next dirty columns)``.
@@ -413,21 +406,13 @@ class VectorizedEngine:
     # ------------------------------------------------------------------
 
     def _delta_row(self, history, t: int, i: int, beta) -> "np.ndarray":
-        """Node ``i``'s recomputed table at time ``t``: per-activation
-        table gathers against per-neighbour historical rows."""
-        degree = self._degrees.get(i, 0)
-        if degree == 0:
-            row = np.full(self._n, self.invalid_code, dtype=_DTYPE)
-        else:
-            offset = self._offsets[i]
-            gathered = np.empty((degree, self._n), dtype=_DTYPE)
-            for idx in range(degree):
-                k = int(self._src[offset + idx])
-                gathered[idx] = history[beta(t, i, k)][k]
-            row = fold_edge_tables(self._tables[offset:offset + degree],
-                                   gathered)
-        row[i] = self.trivial_code
-        return row
+        """Node ``i``'s recomputed table at time ``t``: each
+        in-neighbour's row read at its β time, folded by the shard
+        core's :func:`~repro.core.shard.delta_row` over all columns."""
+        snap = self._snap
+        rows = [history[beta(t, i, k)][k]
+                for k in snap.in_neighbours.get(i, ())]
+        return _shard.delta_row(snap, i, rows, 0, self._n)
 
 
 # ----------------------------------------------------------------------
@@ -445,9 +430,10 @@ def _concat_ranges(counts):
 class BatchedVectorizedEngine(VectorizedEngine):
     """Multi-trial σ/δ over a ``(B, n, n)`` stacked code tensor.
 
-    The top rung of the five-engine ladder (naive → incremental →
-    vectorized → parallel → **batched**).  The vectorized engine made
-    one *trial* an array computation; experiments, however, run *grids*
+    The ``batched`` rung of the six-engine ladder (naive → incremental
+    → vectorized → parallel → **batched** → remote).  The vectorized
+    engine made one *trial* an array computation; experiments, however,
+    run *grids*
     of trials — the absolute-convergence experiment (Definition 8)
     quantifies over (starting state × schedule) pairs — and looping
     Python over trials re-pays the per-step interpreter overhead B
@@ -656,8 +642,7 @@ class BatchedVectorizedEngine(VectorizedEngine):
                     f"{int(rep_b[k])}'s ring window "
                     f"(window={int(windows[rep_b[k]])}, t={t}); the "
                     "schedule reads further back than its declared "
-                    "max_read_back — run delta_run(..., strict=True) to "
-                    "keep the full history")
+                    f"max_read_back — {STALE_READ_REMEDY}")
             edge_flat = np.repeat(off_arr[ei], ed) + _concat_ranges(ed)
             src_flat = src[edge_flat]
             # -- read-diff skip (vectorized DeltaRowCache) --------------

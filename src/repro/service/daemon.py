@@ -74,6 +74,9 @@ from .protocol import (
     ERR_VERSION_SKEW,
     FATAL_CODES,
     MAX_LINE,
+    MAX_ROUNDS_CAP,
+    MAX_STEPS_CAP,
+    N_STARTS_CAP,
     SERVICE_VERSION,
     ServiceError,
     encode_frame,
@@ -91,6 +94,26 @@ __all__ = ["RoutingServiceDaemon", "serve"]
 logger = logging.getLogger("repro.service")
 
 _QUERY_VERBS = ("sigma", "delta", "convergence", "routes")
+
+
+def _int_arg(req: Dict[str, Any], name: str, default: Optional[int] = None,
+             cap: Optional[int] = None) -> Optional[int]:
+    """An integer request argument (``default`` when absent) or a typed
+    ``bad-request``; a ``cap`` bounds a cost argument to ``[1, cap]``."""
+    value = req.get(name)
+    if value is None:
+        return default
+    # bools are ints and int(2.5) truncates: take ints and digit strings
+    if isinstance(value, str) and value.strip().lstrip("+-").isdecimal():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServiceError(ERR_BAD_REQUEST,
+                           f"{name!r} must be an integer, got {value!r}")
+    if cap is not None and not 1 <= value <= cap:
+        raise ServiceError(ERR_BAD_REQUEST,
+                           f"{name}={value} outside the served range "
+                           f"[1, {cap}]")
+    return value
 
 
 class _SessionEntry:
@@ -860,25 +883,23 @@ class RoutingServiceDaemon:
                             verb: str) -> Dict[str, Any]:
         entry = self._entry(req)
         req_id = req.get("id")
-        start_seed = req.get("start_seed")
-        if start_seed is not None:
-            start_seed = int(start_seed)
+        start_seed = _int_arg(req, "start_seed")
         include_state = bool(req.get("include_state", False))
         sched_spec: Optional[Dict[str, Any]] = None
         if verb == "sigma":
-            max_rounds = int(req.get("max_rounds", 10_000))
+            max_rounds = _int_arg(req, "max_rounds", 10_000, MAX_ROUNDS_CAP)
             knobs: Tuple = (max_rounds,)
         elif verb == "routes":
-            max_rounds = int(req.get("max_rounds", 10_000))
-            node = req.get("node")
-            dest = req.get("dest")
+            max_rounds = _int_arg(req, "max_rounds", 10_000, MAX_ROUNDS_CAP)
+            node = _int_arg(req, "node")
+            dest = _int_arg(req, "dest")
             if (node is None) == (dest is None):
                 raise ServiceError(
                     ERR_BAD_REQUEST,
                     "routes takes exactly one of 'node' (that node's "
                     "routes to every destination) or 'dest' (every "
                     "node's route to that destination)")
-            axis = int(node) if node is not None else int(dest)
+            axis = node if node is not None else dest
             if not 0 <= axis < entry.network.n:
                 raise ServiceError(
                     ERR_BAD_REQUEST,
@@ -890,12 +911,12 @@ class RoutingServiceDaemon:
         elif verb == "delta":
             sched_spec = req.get("schedule", {"kind": "round-robin"})
             schedule_from_spec(sched_spec, entry.network.n)  # validate now
-            max_steps = int(req.get("max_steps", 2_000))
+            max_steps = _int_arg(req, "max_steps", 2_000, MAX_STEPS_CAP)
             knobs = (max_steps,)
         else:  # convergence
-            n_starts = int(req.get("n_starts", 3))
-            start_seed = int(req.get("seed", 0))  # grid's sampling seed
-            max_steps = int(req.get("max_steps", 2_000))
+            n_starts = _int_arg(req, "n_starts", 3, N_STARTS_CAP)
+            start_seed = _int_arg(req, "seed", 0)  # grid's sampling seed
+            max_steps = _int_arg(req, "max_steps", 2_000, MAX_STEPS_CAP)
             knobs = (n_starts, max_steps)
         # the fixed-point cache key from the module docs: topology
         # version + algebra + start + schedule (canonical) + the seed

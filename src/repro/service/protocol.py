@@ -47,6 +47,9 @@ from ..core.state import RoutingState
 __all__ = [
     "SERVICE_VERSION",
     "MAX_LINE",
+    "MAX_ROUNDS_CAP",
+    "MAX_STEPS_CAP",
+    "N_STARTS_CAP",
     "ServiceError",
     "ERR_VERSION_SKEW",
     "ERR_MALFORMED",
@@ -79,6 +82,14 @@ SERVICE_VERSION = 1
 #: Sanity bound on one request line (bytes).  A longer line means the
 #: peer is not framing requests; the connection is dropped loudly.
 MAX_LINE = 4 * 1024 * 1024
+
+#: Bounds on the client-controlled cost arguments of a query: σ rounds
+#: (``max_rounds``), δ steps (``max_steps``) and convergence-grid starts
+#: (``n_starts``) are each accepted in ``[1, cap]``.  Every cap is well
+#: above the client default (10 000 rounds, 2 000 steps, 3 starts).
+MAX_ROUNDS_CAP = 100_000
+MAX_STEPS_CAP = 100_000
+N_STARTS_CAP = 64
 
 # Stable error-code vocabulary (tests assert these exactly).
 ERR_VERSION_SKEW = "version-skew"      # hello carried a different version

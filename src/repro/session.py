@@ -617,7 +617,6 @@ class RoutingSession:
                 net, start, resolution.chosen, max_rounds=max_rounds,
                 keep_trajectory=keep_trajectory or measure_churn,
                 detect_cycles=detect_cycles,
-                workers=resolution.workers,
                 engine_obj=self._engine_obj(resolution))
             wire = self._wire_snapshot(resolution)
             degraded = self._degraded_snapshot(resolution)
@@ -668,7 +667,6 @@ class RoutingSession:
         result = _delta_run_resolved(
             net, sched, start, resolution.chosen, max_steps=max_steps,
             stability_window=stability_window, keep_history=keep_history,
-            workers=resolution.workers,
             engine_obj=self._engine_obj(resolution),
             window=window if window is not None else self.spec.window)
         ipc_commands = ipc_steps = None
@@ -754,8 +752,7 @@ class RoutingSession:
                 results.append(_delta_run_resolved(
                     net, sched, start, resolution.chosen,
                     max_steps=max_steps, stability_window=stability_window,
-                    keep_history=keep_history,
-                    workers=resolution.workers, engine_obj=eng,
+                    keep_history=keep_history, engine_obj=eng,
                     window=self.spec.window))
         alg = net.algebra
         fixed_points: List[RoutingState] = []

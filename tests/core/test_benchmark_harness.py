@@ -190,6 +190,38 @@ class TestCommittedBatchedColumn:
                     run_benchmarks.WINDOWED_IPC_FLOOR, row
 
 
+class TestBenchmarkPatchTargets:
+    """The traced benchmark (``perfbench/layers.py``) wraps engine,
+    kernel, wire and daemon names by exact lookup; moving one of them
+    breaks every traced run.  Both instrumentations must apply and
+    cleanly undo."""
+
+    def test_tracer_patches_apply_and_unpatch(self, monkeypatch):
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(BENCH_DIR.parent / "perfbench"))
+        import layers
+        from spans import Tracer
+
+        from repro.core.parallel import ParallelVectorizedEngine
+        from repro.core.remote import RemoteVectorizedEngine
+
+        originals = [cls.__dict__[verb]
+                     for cls in (ParallelVectorizedEngine,
+                                 RemoteVectorizedEngine)
+                     for verb in ("iterate", "delta")]
+        for instrument in (layers.instrument, layers.instrument_daemon):
+            tracer = Tracer()
+            try:
+                instrument(tracer)
+                assert tracer._patches, instrument.__name__
+            finally:
+                tracer.unpatch()
+            assert [cls.__dict__[verb]
+                    for cls in (ParallelVectorizedEngine,
+                                RemoteVectorizedEngine)
+                    for verb in ("iterate", "delta")] == originals
+
+
 @pytest.mark.perfbench
 class TestFullQuickSuite:
     """Deselected in tier-1 (see pytest.ini); run with -m perfbench."""

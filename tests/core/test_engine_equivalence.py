@@ -55,7 +55,6 @@ from repro.core import (
     RoutingState,
     SynchronousSchedule,
     VectorizedEngine,
-    delta_run_parallel,
     sigma,
     sigma_propagate,
     sigma_with_dirty,
@@ -256,15 +255,12 @@ def assert_engines_agree(net, schedules=(), lockstep_rounds=10,
                     ("batched", batr), ("remote", remr)]
             if par is not None and sched.max_read_back() is not None:
                 runs.append(("parallel-windowed",
-                             delta_run_parallel(net, sched, start,
-                                                max_steps=max_steps,
-                                                engine=par)))
+                             par.delta(sched, start, max_steps=max_steps)))
                 if pos == 0:
                     # pin the per-step wire protocol to the same result
                     runs.append(("parallel-window-1",
-                                 delta_run_parallel(net, sched, start,
-                                                    max_steps=max_steps,
-                                                    engine=par, window=1)))
+                                 par.delta(sched, start, max_steps=max_steps,
+                                           window=1)))
             for name, res in runs:
                 assert res.converged == strict.converged, (name, repr(sched))
                 assert res.converged_at == strict.converged_at, \

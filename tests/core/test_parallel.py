@@ -7,14 +7,15 @@ matrix).  This module covers what is unique to the process pool:
 
 * worker/shared-memory lifecycle — segments and processes must be
   released on ``close()``, on garbage collection, and (the regression
-  the engine is explicitly held to) when an exception escapes a run the
-  driver started;
+  the engine is explicitly held to) when an exception escapes a run on
+  a session-owned engine;
 * topology-mutation invalidation: a shared engine must republish its
   edge-table snapshot to the workers when ``adjacency.version`` moves;
 * the fallback ladder (`parallel_workers`) and the direct-construction
   error contract;
 * ring-buffer staleness policing (schedules that read further back
-  than they declared must fail loudly, like ``BoundedHistory``).
+  than they declared must fail loudly, like ``BoundedHistory``) — on
+  both transports over the shard core, the pool and the TCP rung.
 
 All pools are built with explicit tiny worker counts so the suite runs
 (and actually exercises the pool) on single-CPU CI hosts.
@@ -32,17 +33,15 @@ from repro.core import (
     FixedDelaySchedule,
     ParallelVectorizedEngine,
     RandomSchedule,
+    RemoteVectorizedEngine,
     RoutingState,
     UnsupportedAlgebraError,
-    delta_run,
-    delta_run_parallel,
-    iterate_sigma,
-    iterate_sigma_parallel,
     parallel_workers,
     supports_parallel,
 )
 from repro.core import parallel as parallel_mod
 from repro.core.schedule import Schedule
+from repro.session import EngineSpec, RoutingSession
 from repro.topologies import erdos_renyi, uniform_weight_factory
 
 pytestmark = [
@@ -56,6 +55,23 @@ def _net(n=14, seed=1, bound=16):
     alg = HopCountAlgebra(bound)
     return erdos_renyi(alg, n, 0.3, uniform_weight_factory(alg, 1, 3),
                        seed=seed)
+
+
+def _sigma_ref(net, start, engine="naive", **spec):
+    with RoutingSession(net, EngineSpec(engine, **spec)) as s:
+        return s.sigma(start).result
+
+
+def _delta_ref(net, sched, start, engine="incremental", **kwargs):
+    with RoutingSession(net, EngineSpec(engine)) as s:
+        return s.delta(sched, start, **kwargs).result
+
+
+def _sharded(rung, net):
+    """A two-shard engine on either transport over the shard core."""
+    if rung == "parallel":
+        return ParallelVectorizedEngine(net, workers=2)
+    return RemoteVectorizedEngine(net, workers=2)
 
 
 def _segment_names(engine):
@@ -105,9 +121,9 @@ class TestLifecycle:
         gc.collect()
         _assert_released(names, procs)
 
-    def test_driver_cleans_up_when_sigma_run_raises(self, monkeypatch):
-        """The regression: an exception escaping a driver-owned run must
-        not leak workers or segments."""
+    def test_session_cleans_up_when_sigma_run_raises(self, monkeypatch):
+        """The regression: an exception escaping a run on a
+        session-owned engine must not leak workers or segments."""
         created = []
         original = parallel_mod.ParallelVectorizedEngine
 
@@ -120,13 +136,15 @@ class TestLifecycle:
                             Recording)
         net = _net()
         bad = RoutingState.filled(10 ** 9, net.n)   # outside the carrier
-        with pytest.raises(UnsupportedAlgebraError):
-            iterate_sigma_parallel(net, bad, workers=2)
+        with RoutingSession(net, EngineSpec("parallel", workers=2)) as s:
+            with pytest.raises(UnsupportedAlgebraError):
+                s.sigma(bad)
         assert len(created) == 1
         assert created[0].closed
         _assert_released([], list(created[0]._res.procs))
 
-    def test_driver_cleans_up_when_delta_schedule_raises(self, monkeypatch):
+    def test_session_cleans_up_when_delta_schedule_raises(self,
+                                                          monkeypatch):
         created = []
         original = parallel_mod.ParallelVectorizedEngine
 
@@ -146,9 +164,10 @@ class TestLifecycle:
 
         net = _net()
         start = RoutingState.identity(net.algebra, net.n)
-        with pytest.raises(RuntimeError, match="detonated"):
-            delta_run_parallel(net, Poisoned(net.n, seed=1, max_delay=3),
-                               start, max_steps=50, workers=2)
+        with RoutingSession(net, EngineSpec("parallel", workers=2)) as s:
+            with pytest.raises(RuntimeError, match="detonated"):
+                s.delta(Poisoned(net.n, seed=1, max_delay=3), start,
+                        max_steps=50)
         assert len(created) == 1 and created[0].closed
 
     def test_worker_failure_is_relayed_and_pool_closed(self):
@@ -168,15 +187,14 @@ class TestLifecycle:
         assert eng.closed
         _assert_released([], procs)
 
-    def test_shared_engine_survives_driver_calls(self):
-        """Engines passed in by the caller are *not* closed by drivers."""
+    def test_engine_stays_open_across_runs(self):
+        """A caller's engine is *not* closed by the runs it serves."""
         net = _net()
         start = RoutingState.identity(net.algebra, net.n)
         with ParallelVectorizedEngine(net, workers=2) as eng:
-            iterate_sigma_parallel(net, start, engine=eng)
+            eng.iterate(start)
             assert not eng.closed
-            delta_run_parallel(net, RandomSchedule(net.n, seed=2, max_delay=3),
-                               start, engine=eng)
+            eng.delta(RandomSchedule(net.n, seed=2, max_delay=3), start)
             assert not eng.closed
 
 
@@ -190,7 +208,7 @@ class TestInvalidation:
             net.set_edge(0, net.n - 1, alg.edge(1))
             net.set_edge(net.n - 1, 0, alg.edge(1))
             res = eng.iterate(fp)
-            ref = iterate_sigma(net, fp, engine="naive")
+            ref = _sigma_ref(net, fp)
             assert res.rounds == ref.rounds
             assert res.state.equals(ref.state, alg)
 
@@ -203,7 +221,7 @@ class TestInvalidation:
             removed = next(iter(net.present_edges()))
             net.remove_edge(*removed)
             res = eng.iterate(fp)
-            ref = iterate_sigma(net, fp, engine="naive")
+            ref = _sigma_ref(net, fp)
             assert res.rounds == ref.rounds
             assert res.state.equals(ref.state, alg)
 
@@ -216,8 +234,8 @@ class TestInvalidation:
             first = eng.delta(sched, start, max_steps=400)
             net.set_edge(1, net.n - 1, alg.edge(2))
             second = eng.delta(sched, first.state, max_steps=400)
-            ref = delta_run(net, sched, first.state, max_steps=400,
-                            strict=True)
+            ref = _delta_ref(net, sched, first.state, max_steps=400,
+                             strict=True)
             assert second.converged == ref.converged
             assert second.converged_at == ref.converged_at
             assert second.state.equals(ref.state, alg)
@@ -246,8 +264,8 @@ class TestFallbackLadder:
         net = erdos_renyi(sp, 10, 0.3, uniform_weight_factory(sp, 1, 5),
                           seed=2)
         start = RoutingState.identity(sp, net.n)
-        res = iterate_sigma(net, start, engine="parallel", workers=4)
-        ref = iterate_sigma(net, start, engine="naive")
+        res = _sigma_ref(net, start, "parallel", workers=4)
+        ref = _sigma_ref(net, start)
         assert res.rounds == ref.rounds
         assert res.state.equals(ref.state, sp)
 
@@ -266,10 +284,10 @@ class TestFallbackLadder:
         net = _net(10, seed=7)
         start = RoutingState.identity(net.algebra, net.n)
         sched = RandomSchedule(net.n, seed=8, max_delay=3)
-        par = delta_run(net, sched, start, max_steps=300, engine="parallel",
-                        workers=2, keep_history=True)
-        vec = delta_run(net, sched, start, max_steps=300, engine="vectorized",
-                        keep_history=True)
+        with RoutingSession(net, EngineSpec("parallel", workers=2)) as s:
+            par = s.delta(sched, start, max_steps=300, keep_history=True)
+        with RoutingSession(net, EngineSpec("vectorized")) as s:
+            vec = s.delta(sched, start, max_steps=300, keep_history=True)
         assert par.history is not None and len(par.history) == \
             len(vec.history)
         for a, b in zip(par.history, vec.history):
@@ -291,17 +309,11 @@ class TestSemantics:
                 assert eng.sigma(state).equals(nxt, alg)
                 assert eng.is_stable(state) == state.equals(nxt, alg)
                 state = nxt
-            fixed = iterate_sigma(net, state, engine="naive").state
+            fixed = _sigma_ref(net, state).state
             assert eng.is_stable(fixed)
 
-    def test_block_split_covers_all_columns(self):
-        blocks = ParallelVectorizedEngine._split_columns(11, 3)
-        assert blocks[0][0] == 0 and blocks[-1][1] == 11
-        for (a, b), (c, d) in zip(blocks, blocks[1:]):
-            assert b == c and b > a
-        assert sum(hi - lo for lo, hi in blocks) == 11
-
-    def test_overdeclared_read_back_raises_lookup_error(self):
+    @pytest.mark.parametrize("rung", ["parallel", "remote"])
+    def test_overdeclared_read_back_raises_lookup_error(self, rung):
         """A schedule reaching further back than its declared bound must
         fail loudly (BoundedHistory parity), not read a recycled slot."""
 
@@ -317,11 +329,11 @@ class TestSemantics:
 
         net = _net(8, seed=10)
         start = RoutingState.identity(net.algebra, net.n)
-        with pytest.raises(LookupError):
-            delta_run_parallel(net, Lying(net.n), start, max_steps=60,
-                               workers=2)
+        with _sharded(rung, net) as eng, pytest.raises(LookupError):
+            eng.delta(Lying(net.n), start, max_steps=60)
 
-    def test_reads_slightly_past_declaration_match_serial(self):
+    @pytest.mark.parametrize("rung", ["parallel", "remote"])
+    def test_reads_slightly_past_declaration_match_serial(self, rung):
         """BoundedHistory tolerates reads up to (declared bound + 2)
         before declaring eviction; the shared ring must tolerate — and
         compute identically on — exactly the same reads."""
@@ -339,14 +351,15 @@ class TestSemantics:
         net = _net(9, seed=12)
         alg = net.algebra
         start = RoutingState.identity(alg, net.n)
-        ref = delta_run(net, Overreaching(net.n), start, max_steps=200)
-        par = delta_run_parallel(net, Overreaching(net.n), start,
-                                 max_steps=200, workers=2)
+        ref = _delta_ref(net, Overreaching(net.n), start, max_steps=200)
+        with _sharded(rung, net) as eng:
+            par = eng.delta(Overreaching(net.n), start, max_steps=200)
         assert par.converged == ref.converged
         assert par.converged_at == ref.converged_at
         assert par.state.equals(ref.state, alg)
 
-    def test_negative_beta_raises_lookup_error(self):
+    @pytest.mark.parametrize("rung", ["parallel", "remote"])
+    def test_negative_beta_raises_lookup_error(self, rung):
         """A β that forgets the max(0, …) clamp (S2 violation) must not
         wrap the ring modulo into an arbitrary slot."""
 
@@ -362,9 +375,8 @@ class TestSemantics:
 
         net = _net(8, seed=10)
         start = RoutingState.identity(net.algebra, net.n)
-        with pytest.raises(LookupError):
-            delta_run_parallel(net, Unclamped(net.n), start, max_steps=60,
-                               workers=2)
+        with _sharded(rung, net) as eng, pytest.raises(LookupError):
+            eng.delta(Unclamped(net.n), start, max_steps=60)
 
     def test_windowed_delta_bit_identical_across_window_sizes(self):
         """One command per window vs one per step must compute the same
@@ -373,7 +385,7 @@ class TestSemantics:
         alg = net.algebra
         start = RoutingState.identity(alg, net.n)
         sched = RandomSchedule(net.n, seed=15, max_delay=4)
-        ref = delta_run(net, sched, start, max_steps=400, strict=True)
+        ref = _delta_ref(net, sched, start, max_steps=400, strict=True)
         with ParallelVectorizedEngine(net, workers=2) as eng:
             for window in (1, 2, 7, 16, 64):
                 res = eng.delta(sched, start, max_steps=400, window=window)
@@ -411,7 +423,7 @@ class TestSemantics:
         alg = net.algebra
         start = RoutingState.identity(alg, net.n)
         sched = FixedDelaySchedule(net.n, delay=3)
-        ref = delta_run(net, sched, start, max_steps=400, strict=True)
+        ref = _delta_ref(net, sched, start, max_steps=400, strict=True)
         assert ref.converged
         with ParallelVectorizedEngine(net, workers=2) as eng:
             # a window far larger than the whole run: everything happens
@@ -442,8 +454,8 @@ class TestSemantics:
 
         net = _net(10, seed=20)
         start = RoutingState.identity(net.algebra, net.n)
-        ref = delta_run(net, LiesLate(net.n), start, max_steps=400,
-                        engine="vectorized")
+        ref = _delta_ref(net, LiesLate(net.n), start, max_steps=400,
+                         engine="vectorized")
         assert ref.converged and ref.steps < 60
         with ParallelVectorizedEngine(net, workers=2) as eng:
             res = eng.delta(LiesLate(net.n), start, max_steps=400,
@@ -459,8 +471,9 @@ class TestSemantics:
                               lambda rng, _i, _j: alg.random_strict_edge(rng),
                               seed=11)
         start = RoutingState.identity(alg, rng_net.n)
-        res = iterate_sigma_parallel(rng_net, start, workers=3)
-        ref = iterate_sigma(rng_net, start, engine="naive")
+        with ParallelVectorizedEngine(rng_net, workers=3) as eng:
+            res = eng.iterate(start)
+        ref = _sigma_ref(rng_net, start)
         assert res.converged == ref.converged
         assert res.rounds == ref.rounds
         assert res.state.equals(ref.state, alg)

@@ -57,13 +57,11 @@ from repro.core import (
     WireClosedError,
     WireFormatError,
     WireVersionError,
-    delta_run_remote,
-    iterate_sigma_remote,
     random_state,
     resolve_engine,
     serve_worker,
 )
-from repro.core.remote import REMOTE_MIN_N, _split_columns
+from repro.core.remote import REMOTE_MIN_N
 from repro.core.vectorized import (
     VectorizedEngine,
     delta_run_vectorized,
@@ -301,8 +299,7 @@ class TestLoopbackBitIdentity:
         net = _net(9)
         start = RoutingState.identity(net.algebra, net.n)
         with RemoteVectorizedEngine(net, workers=2) as eng:
-            rem = iterate_sigma_remote(net, start, keep_trajectory=True,
-                                       engine=eng)
+            rem = eng.iterate(start, keep_trajectory=True)
         ref = iterate_sigma_vectorized(net, start, keep_trajectory=True)
         assert rem.converged == ref.converged
         assert rem.rounds == ref.rounds
@@ -377,9 +374,14 @@ class TestLoopbackBitIdentity:
         net = _net(8)
         start = RoutingState.identity(net.algebra, net.n)
         sched = Unbounded(net.n, seed=3, max_delay=2)
-        with RemoteVectorizedEngine(net, workers=2) as eng:
-            rem = delta_run_remote(net, sched, start, max_steps=300,
-                                   engine=eng)
+        # a single δ run is negotiated down before it reaches the remote
+        # rung; a grid trial is where the remote engine itself delegates
+        with RoutingSession(net,
+                            EngineSpec("remote", remote_workers=2)) as s:
+            grid = s.delta_grid([(sched, start)], max_steps=300,
+                                keep_results=True)
+            assert grid.resolution.chosen == "remote"
+            rem = grid.results[0]
         ref = delta_run_vectorized(net, sched, start, max_steps=300)
         assert rem.converged == ref.converged
         assert rem.steps == ref.steps
@@ -537,14 +539,6 @@ class TestNegotiation:
                           seed=0)
         res = resolve_engine(net, "remote", "sigma", remote=2)
         assert res.reason_codes()[0] == ("remote", "no-finite-encoding")
-
-    def test_shard_split_covers_all_columns(self):
-        for n in (4, 9, 10, 17):
-            for w in (2, 3, 4):
-                blocks = _split_columns(n, w)
-                assert blocks[0][0] == 0 and blocks[-1][1] == n
-                assert all(b[1] == c[0]
-                           for b, c in zip(blocks, blocks[1:]))
 
     def test_engine_refuses_topology_mutation(self):
         net = _net(9)

@@ -44,7 +44,13 @@ from repro.service import (
     ServiceError,
     state_digest,
 )
-from repro.service.protocol import percentile, schedule_from_spec
+from repro.service.protocol import (
+    MAX_ROUNDS_CAP,
+    MAX_STEPS_CAP,
+    N_STARTS_CAP,
+    percentile,
+    schedule_from_spec,
+)
 from repro.session import RoutingSession
 
 
@@ -279,6 +285,42 @@ class TestFailureSemantics:
             assert exc.value.code == ERR_BAD_REQUEST
             # ...and the very same connection still serves queries
             assert c.sigma(sid)["converged"] is True
+
+    @pytest.mark.parametrize("verb,name,cap", [
+        ("sigma", "max_rounds", MAX_ROUNDS_CAP),
+        ("routes", "max_rounds", MAX_ROUNDS_CAP),
+        ("delta", "max_steps", MAX_STEPS_CAP),
+        ("convergence", "max_steps", MAX_STEPS_CAP),
+        ("convergence", "n_starts", N_STARTS_CAP),
+        ("sigma", "start_seed", None),
+        ("convergence", "seed", None),
+        ("routes", "node", None),
+        ("routes", "dest", None),
+    ])
+    def test_query_arguments_are_typed_and_bounded(self, daemon, verb,
+                                                   name, cap):
+        """Non-integer arguments, and cost arguments outside [1, cap],
+        earn a typed bad-request — never an internal error — and the
+        connection keeps serving."""
+        bad = ["many", 2.5, True]
+        if cap is not None:
+            assert cap >= {"max_rounds": 10_000, "max_steps": 2_000,
+                           "n_starts": 3}[name]   # the client defaults
+            bad += [0, -1, cap + 1]
+        with ServiceClient(port=daemon.port) as c:
+            sid = c.load("hop-count", n=8, topology="ring")["session"]
+            req = {"verb": verb, "session": sid}
+            if verb == "routes":
+                req["node" if name == "dest" else "dest"] = 0
+            for value in bad:
+                with pytest.raises(ServiceError) as exc:
+                    c.request(dict(req, **{name: value}))
+                assert exc.value.code == ERR_BAD_REQUEST, value
+                assert name in str(exc.value), value
+            if verb == "routes" and name in ("node", "dest"):
+                req = dict(req, **{name: 1})
+                req.pop("dest" if name == "node" else "node")
+            assert c.request(req)["ok"] is True
 
     def test_bad_clients_do_not_kill_the_server(self, daemon):
         for frames in ([b"\x00\xff garbage\n"],
