@@ -4,7 +4,7 @@
 Times the incremental delta-propagation engine (PR 1) against the frozen
 seed implementations in :mod:`naive_engine` on chain / ring / grid /
 sparse-random topologies across several algebras, and the ring-buffer
-``delta_run`` against the unbounded-history seed run.  Finite algebras
+δ run against the unbounded-history seed run.  Finite algebras
 additionally get a **vectorized** column (PR 2): the int-encoded numpy
 engine of :mod:`repro.core.vectorized`, timed against both baselines on
 the same cases — and a **parallel worker-scaling** column (PR 3): the
@@ -77,8 +77,6 @@ from repro.core import (
     RoutingState,
     SynchronousSchedule,
     VectorizedEngine,
-    delta_run_vectorized,
-    iterate_sigma_vectorized,
     random_state,
     schedule_zoo,
     supports_parallel,
@@ -381,10 +379,8 @@ def bench_remote_case(case: Dict, repeats: int) -> Dict:
     arcs = sum(1 for _ in net.present_edges())
 
     vec_eng = VectorizedEngine(net)
-    iterate_sigma_vectorized(net, start, engine=vec_eng)
-    vec_s, vec_res = _time(
-        lambda: iterate_sigma_vectorized(net, start, engine=vec_eng),
-        repeats)
+    vec_eng.iterate(start)
+    vec_s, vec_res = _time(lambda: vec_eng.iterate(start), repeats)
 
     row = dict(
         case=case["label"],
@@ -420,9 +416,7 @@ def bench_remote_case(case: Dict, repeats: int) -> Dict:
         ipc_commands, ipc_steps = eng.delta_ipc_commands, eng.delta_ipc_steps
     finally:
         eng.close()
-    ref_delta = delta_run_vectorized(net, sched, dstart,
-                                     max_steps=case["delta_steps"],
-                                     engine=vec_eng)
+    ref_delta = vec_eng.delta(sched, dstart, max_steps=case["delta_steps"])
 
     equal = (rem_res.converged == vec_res.converged and
              rem_res.rounds == vec_res.rounds and
@@ -605,7 +599,7 @@ def bench_fault_case(case: Dict) -> Dict:
     net = case["net"]
     alg = net.algebra
     start = RoutingState.identity(alg, net.n)
-    ref = iterate_sigma_vectorized(net, start)
+    ref = VectorizedEngine(net).iterate(start)
     row = dict(case=case["label"],
                headline_faults=bool(case.get("headline_faults")),
                n=net.n, workers=case["workers"], kills=case["kills"])
@@ -869,10 +863,8 @@ def bench_parallel_case(case: Dict, repeats: int) -> Dict:
     # below — timing engine construction/encoding on one side only
     # would bias the ratio
     vec_eng = VectorizedEngine(net)
-    iterate_sigma_vectorized(net, start, engine=vec_eng)
-    vec_s, vec_res = _time(
-        lambda: iterate_sigma_vectorized(net, start, engine=vec_eng),
-        repeats)
+    vec_eng.iterate(start)
+    vec_s, vec_res = _time(lambda: vec_eng.iterate(start), repeats)
 
     def check(res):
         return (res.converged == vec_res.converged and
@@ -936,8 +928,8 @@ def bench_batched_case(case: Dict, repeats: int) -> Dict:
     """Batched grid vs per-trial vectorized loop for one trial grid.
 
     Warm-vs-warm: the loop reuses one prebuilt serial engine across
-    trials (exactly the ``absolute_convergence_experiment``
-    ``engine="vectorized"`` path), the batched engine is prebuilt and
+    trials (exactly what ``RoutingSession.delta_grid`` runs on the
+    vectorized rung), the batched engine is prebuilt and
     warmed the same way, and both execute the identical (schedule ×
     start) trials to identical results — every trial's convergence
     step and fixed point is cross-checked between the two shapes.
@@ -958,8 +950,7 @@ def bench_batched_case(case: Dict, repeats: int) -> Dict:
     vec_eng = VectorizedEngine(net)
 
     def loop():
-        return [delta_run_vectorized(net, sched, start,
-                                     max_steps=max_steps, engine=vec_eng)
+        return [vec_eng.delta(sched, start, max_steps=max_steps)
                 for (sched, start) in trials]
 
     loop()                               # warm tables/encodings
@@ -1010,7 +1001,7 @@ def bench_windowed_ipc(scale: str) -> Optional[Dict]:
     sched = RandomSchedule(n, seed=17, activation_prob=0.1, max_delay=8)
     with ParallelVectorizedEngine(net, workers=2) as eng:
         res = eng.delta(sched, start, max_steps=800)
-        serial = delta_run_vectorized(net, sched, start, max_steps=800)
+        serial = VectorizedEngine(net).delta(sched, start, max_steps=800)
         commands, steps = eng.delta_ipc_commands, eng.delta_ipc_steps
     from repro.core import DELTA_WINDOW
 

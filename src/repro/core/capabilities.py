@@ -6,9 +6,9 @@ rung additionally trading locality: it shards destination columns over
 TCP workers and is only eligible when the caller configured a
 transport.  Before this module the
 ladder lived as ad-hoc ``if supports_…: … else fall back`` chains
-duplicated across ``iterate_sigma``, ``delta_run``,
-``absolute_convergence_experiment``, the simulator's σ-stability check
-and the CLI — and every chain fell back *silently*, so a non-finite
+duplicated across the σ, δ and grid drivers, the simulator's
+σ-stability check and the CLI — and every chain fell back *silently*,
+so a non-finite
 algebra requested with ``engine="parallel"`` quietly degraded to the
 incremental engine with no signal anywhere.
 
@@ -40,15 +40,14 @@ chains exactly): **capability** (``no-finite-encoding``,
 reason.
 
 The resolver is consumed by :class:`repro.session.RoutingSession` (the
-public facade) and by the legacy selector shims, so every entry point
-negotiates identically.
+public facade) and by the simulator's σ-stability check, so every entry
+point negotiates identically.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -249,15 +248,6 @@ class EngineResolution:
         chain = "; ".join(f"{s.rung} skipped [{s.code}]: {s.detail}"
                           for s in self.skipped)
         return f"{head} — {chain}"
-
-
-def warn_deprecated(old: str, new: str) -> None:
-    """One :class:`DeprecationWarning` pointing a legacy free function
-    at its :class:`~repro.session.RoutingSession` replacement."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} "
-        "(see repro.session.RoutingSession)",
-        DeprecationWarning, stacklevel=3)
 
 
 # ----------------------------------------------------------------------

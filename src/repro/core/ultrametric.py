@@ -50,7 +50,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .algebra import PathAlgebra, Route, RoutingAlgebra
 from .paths import BOTTOM, enumerate_consistent_routes, length
 from .state import Network, RoutingState
-from .synchronous import sigma
+from .synchronous import _iterate_sigma_resolved, sigma
 
 
 class RouteUltrametric:
@@ -325,14 +325,13 @@ def theorem4_preconditions(metric: RouteUltrametric, network: Network,
     be omitted, in which case it is computed by iterating σ from the
     first state.
     """
-    from .synchronous import iterate_sigma
-
     checks = check_ultrametric_axioms(metric, routes)
     checks.append(check_bounded(metric, routes))
     checks.append(check_strictly_contracting_on_orbits(metric, network, states))
     if fixed_point is None:
-        result = iterate_sigma(network, states[0] if states else
-                               RoutingState.identity(network.algebra, network.n))
+        result = _iterate_sigma_resolved(
+            network, states[0] if states else
+            RoutingState.identity(network.algebra, network.n), "incremental")
         fixed_point = result.state if result.converged else None
     if fixed_point is not None:
         checks.append(check_contracting_on_fixed_point(

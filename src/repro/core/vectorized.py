@@ -30,7 +30,7 @@ dirty-column set is exactly σ-stability, so fixed-point detection stays
 free.  δ activations use the same tables as per-activation gathers
 against a :class:`~repro.core.incremental.BoundedHistory` of code
 matrices, so asynchronous rounds are array ops too
-(`delta_run_vectorized`).
+(:meth:`VectorizedEngine.delta`).
 
 Capability & fallback
 ---------------------
@@ -45,12 +45,11 @@ along the column axis.
 
 The engine needs numpy and a :class:`~repro.algebras.base.AlgebraEncoding`
 (finite carrier, injective preference keys, default route equality).
-:func:`supports_vectorized` reports capability; the public selectors
-(``iterate_sigma(engine="vectorized")``, ``delta_run(...)``,
-``Simulator(engine=...)``) silently fall back to the incremental engine
-for unsupported algebras, while constructing :class:`VectorizedEngine`
-directly raises :class:`~repro.core.algebra.UnsupportedAlgebraError`
-with the reason.
+:func:`supports_vectorized` reports capability; a
+:class:`~repro.session.RoutingSession` negotiates a lower rung for
+unsupported algebras (recording why), while constructing
+:class:`VectorizedEngine` directly raises
+:class:`~repro.core.algebra.UnsupportedAlgebraError` with the reason.
 
 Cache discipline: edge tables are derived from the adjacency matrix and
 rebuilt whenever ``adjacency.version`` moves (checked by
@@ -71,7 +70,7 @@ except ImportError:                      # pragma: no cover - numpy is baked in
 
 from . import shard as _shard
 from .algebra import RoutingAlgebra, UnsupportedAlgebraError
-from .asynchronous import AbsoluteConvergenceReport, AsyncResult
+from .asynchronous import AsyncResult
 from .capabilities import Capabilities, register_engine
 from .incremental import STALE_READ_REMEDY, BoundedHistory
 from .schedule import CompiledSchedule, Schedule
@@ -240,7 +239,10 @@ class VectorizedEngine:
     ``_starts`` aligned to ``_importers``, and the tables' verified
     :class:`AffineView` ``_affine`` (``None`` when not affine) — and
     refreshes the snapshot whenever ``adjacency.version`` moves.  States
-    cross the boundary via :meth:`encode_state` / :meth:`decode_state`.
+    cross the boundary via :meth:`encode_state` / :meth:`decode_state`;
+    runs go through :meth:`iterate`, :meth:`delta` and
+    :meth:`sigma_churn`, which every rung above this one inherits or
+    overrides.
     """
 
     #: advertised to the capability resolver (see
@@ -401,6 +403,63 @@ class VectorizedEngine:
         C = self.encode_state(state)
         return bool(np.array_equal(self._sigma_codes(C), C))
 
+    def iterate(self, start: RoutingState, max_rounds: int = 10_000,
+                keep_trajectory: bool = False,
+                detect_cycles: bool = False) -> SyncResult:
+        """σ fixed-point iteration on codes.
+
+        Same trajectory, fixed point and round count as the other
+        engines — the differential oracle in
+        ``tests/core/test_engine_equivalence.py`` holds it to that.  The
+        engine is reusable: its caches auto-refresh on topology changes.
+        """
+        self.refresh()
+        C = self.encode_state(start)
+        trajectory: Optional[List[RoutingState]] = \
+            [start] if keep_trajectory else None
+        seen = {C.tobytes(): 0} if detect_cycles else None
+        dirty = None
+        for k in range(max_rounds):
+            nxt, dirty = self._advance(C, dirty)
+            if keep_trajectory:
+                trajectory.append(self.decode_state(nxt))
+            if dirty.size == 0:
+                return SyncResult(True, k, self.decode_state(C), trajectory)
+            if detect_cycles:
+                key = nxt.tobytes()
+                if key in seen:
+                    return SyncResult(False, k + 1, self.decode_state(nxt),
+                                      trajectory)
+                seen[key] = k + 1
+            C = nxt
+        return SyncResult(False, max_rounds, self.decode_state(C), trajectory)
+
+    def sigma_churn(self, start: RoutingState, max_rounds: int = 10_000):
+        """``(converged, rounds, total entry changes, final state)`` of the
+        σ iteration.
+
+        The churn measurement
+        (:meth:`repro.session.RoutingSession.sigma` with ``measure_churn``,
+        behind :func:`repro.analysis.convergence.measure_sync`) on codes:
+        instead of decoding every trajectory state and comparing
+        O(rounds · n²) route pairs in Python, diff consecutive code
+        matrices with numpy — sound because a finite encoding maps equal
+        routes to equal codes and distinct routes to distinct codes.
+        Counts exactly what the object path counts, without materialising
+        the trajectory.
+        """
+        self.refresh()
+        C = self.encode_state(start)
+        churn = 0
+        dirty = None
+        for k in range(max_rounds):
+            nxt, dirty = self._advance(C, dirty)
+            if dirty.size == 0:
+                return True, k, churn, self.decode_state(C)
+            churn += int((nxt[:, dirty] != C[:, dirty]).sum())
+            C = nxt
+        return False, max_rounds, churn, self.decode_state(C)
+
     # ------------------------------------------------------------------
     # δ
     # ------------------------------------------------------------------
@@ -413,6 +472,56 @@ class VectorizedEngine:
         rows = [history[beta(t, i, k)][k]
                 for k in snap.in_neighbours.get(i, ())]
         return _shard.delta_row(snap, i, rows, 0, self._n)
+
+    def delta(self, schedule: Schedule, start: RoutingState,
+              max_steps: int = 2_000, stability_window: Optional[int] = None,
+              keep_history: bool = False) -> AsyncResult:
+        """δ from ``start`` under ``schedule`` until convergence, on codes.
+
+        The history semantics of the object-model δ loop: the
+        code-matrix history is a
+        :class:`~repro.core.incremental.BoundedHistory` ring buffer sized
+        by ``schedule.max_read_back() + 2`` (full list when the schedule
+        declares no bound or ``keep_history`` is set), and convergence
+        uses the same constant-window + σ-stable criterion.
+        """
+        self.refresh()
+        max_read_back = schedule.max_read_back()
+        if stability_window is None:
+            stability_window = (max_read_back or 1) + 2
+        C0 = self.encode_state(start)
+        full = keep_history or max_read_back is None
+        history = ([C0] if full
+                   else BoundedHistory(C0, window=max_read_back + 2))
+        beta = schedule.beta
+        unchanged = 0
+
+        def result(converged: bool, t: int, C, converged_at):
+            decoded_history = None
+            if keep_history:
+                decoded_history = [self.decode_state(h) for h in history]
+            return AsyncResult(converged, t, self.decode_state(C),
+                               converged_at, decoded_history,
+                               history_retained=len(history))
+
+        for t in range(1, max_steps + 1):
+            prev = history[t - 1]
+            nxt = None
+            for i in schedule.alpha(t):
+                row = self._delta_row(history, t, i, beta)
+                if not np.array_equal(row, prev[i]):
+                    if nxt is None:
+                        nxt = prev.copy()
+                    nxt[i] = row
+            changed = nxt is not None
+            if nxt is None:
+                nxt = prev                   # share the unchanged matrix
+            history.append(nxt)
+            unchanged = 0 if changed else unchanged + 1
+            if unchanged >= stability_window and \
+                    np.array_equal(self._sigma_codes(nxt), nxt):
+                return result(True, t, nxt, t - unchanged)
+        return result(False, max_steps, history[max_steps], None)
 
 
 # ----------------------------------------------------------------------
@@ -456,7 +565,7 @@ class BatchedVectorizedEngine(VectorizedEngine):
     out of the activation mask (their final state is snapshotted at
     completion), and the grid ends when every trial has converged or
     exhausted ``max_steps``.  Each trial's result is observationally
-    identical to a solo :func:`delta_run_vectorized` — converged flag,
+    identical to a solo :meth:`VectorizedEngine.delta` — converged flag,
     convergence step and fixed point — which the differential oracle
     (``tests/core/test_engine_equivalence.py``) enforces against the
     strict literal recursion.
@@ -558,6 +667,66 @@ class BatchedVectorizedEngine(VectorizedEngine):
         diag = np.arange(n)
         new[:, diag, diag] = self.trivial_code   # Lemma 1, every trial
         return new
+
+    def iterate(self, start: RoutingState, max_rounds: int = 10_000,
+                keep_trajectory: bool = False,
+                detect_cycles: bool = False) -> SyncResult:
+        """Single-start σ through the batched kernel (the B = 1 stack),
+        so a session on this rung runs exactly the grid's code path."""
+        return self.iterate_batch([start], max_rounds=max_rounds,
+                                  keep_trajectory=keep_trajectory,
+                                  detect_cycles=detect_cycles)[0]
+
+    def iterate_batch(self, starts: Sequence[RoutingState],
+                      max_rounds: int = 10_000,
+                      keep_trajectory: bool = False,
+                      detect_cycles: bool = False) -> List[SyncResult]:
+        """σ fixed-point iteration for many starts as one tensor workload.
+
+        Every round applies σ to the whole live stack at once; each
+        trial's :class:`~repro.core.synchronous.SyncResult` (convergence,
+        round count, fixed point, optional trajectory / cycle detection)
+        is identical to a solo :meth:`VectorizedEngine.iterate` run, and
+        finished trials drop out of the stack.
+        """
+        self.refresh()
+        B = len(starts)
+        results: List[Optional[SyncResult]] = [None] * B
+        if B == 0:
+            return []
+        C = np.stack([self.encode_state(s) for s in starts])
+        live = np.ones(B, dtype=bool)
+        trajs = [[s] if keep_trajectory else None for s in starts]
+        seens = ([{C[b].tobytes(): 0} for b in range(B)]
+                 if detect_cycles else None)
+        for k in range(max_rounds):
+            idx = np.nonzero(live)[0]
+            if idx.size == 0:
+                break
+            new = self._sigma_codes_batch(C[idx])
+            for pos, b in enumerate(idx.tolist()):
+                nxt = new[pos]
+                if keep_trajectory:
+                    trajs[b].append(self.decode_state(nxt))
+                if np.array_equal(nxt, C[b]):
+                    results[b] = SyncResult(True, k, self.decode_state(C[b]),
+                                            trajs[b])
+                    live[b] = False
+                    continue
+                if detect_cycles:
+                    key = nxt.tobytes()
+                    if key in seens[b]:
+                        results[b] = SyncResult(False, k + 1,
+                                                self.decode_state(nxt),
+                                                trajs[b])
+                        live[b] = False
+                        continue
+                    seens[b][key] = k + 1
+                C[b] = nxt
+        for b in np.nonzero(live)[0].tolist():
+            results[b] = SyncResult(False, max_rounds,
+                                    self.decode_state(C[b]), trajs[b])
+        return results
 
     # -- δ ---------------------------------------------------------------
 
@@ -733,6 +902,18 @@ class BatchedVectorizedEngine(VectorizedEngine):
         out[np.arange(rows.size), rows] = self.trivial_code
         return out
 
+    def delta(self, schedule: Schedule, start: RoutingState,
+              max_steps: int = 2_000, stability_window: Optional[int] = None,
+              keep_history: bool = False) -> AsyncResult:
+        """Single-trial δ through the batched kernel (the B = 1 grid), so
+        a session on this rung runs exactly the grid's code path.  The
+        ring keeps no history (``supports_kept_history=False``)."""
+        if keep_history:
+            raise ValueError("the batched engine retains no δ history; "
+                             "run keep_history on the vectorized engine")
+        return self.delta_grid([(schedule, start)], max_steps=max_steps,
+                               stability_window=stability_window)[0]
+
     def delta_grid(self, trials, max_steps: int = 2_000,
                    stability_window: Optional[int] = None
                    ) -> List[AsyncResult]:
@@ -740,7 +921,7 @@ class BatchedVectorizedEngine(VectorizedEngine):
 
         Returns one :class:`~repro.core.asynchronous.AsyncResult` per
         trial, in order, each identical to what a solo
-        :func:`delta_run_vectorized` would have produced.
+        :meth:`VectorizedEngine.delta` would have produced.
         """
         self.refresh()
         B = len(trials)
@@ -830,250 +1011,3 @@ class BatchedVectorizedEngine(VectorizedEngine):
                             history_retained=min(int(steps_res[b]) + 1,
                                                  int(windows[b])))
                 for b in range(B)]
-
-
-# ----------------------------------------------------------------------
-# Drivers (SyncResult / AsyncResult compatible)
-# ----------------------------------------------------------------------
-
-
-def iterate_sigma_vectorized(network: Network, start: RoutingState,
-                             max_rounds: int = 10_000,
-                             keep_trajectory: bool = False,
-                             detect_cycles: bool = False,
-                             engine: Optional[VectorizedEngine] = None
-                             ) -> SyncResult:
-    """Vectorized drop-in for :func:`repro.core.synchronous.iterate_sigma`.
-
-    Same trajectory, fixed point and round count as the other engines —
-    the differential oracle in ``tests/core/test_engine_equivalence.py``
-    holds it to that.  Pass ``engine`` to reuse a prebuilt
-    :class:`VectorizedEngine` (its caches auto-refresh on topology
-    changes).
-    """
-    eng = engine if engine is not None else VectorizedEngine(network)
-    eng.refresh()
-    C = eng.encode_state(start)
-    trajectory: Optional[List[RoutingState]] = \
-        [start] if keep_trajectory else None
-    seen = {C.tobytes(): 0} if detect_cycles else None
-    dirty = None
-    for k in range(max_rounds):
-        nxt, dirty = eng._advance(C, dirty)
-        if keep_trajectory:
-            trajectory.append(eng.decode_state(nxt))
-        if dirty.size == 0:
-            return SyncResult(True, k, eng.decode_state(C), trajectory)
-        if detect_cycles:
-            key = nxt.tobytes()
-            if key in seen:
-                return SyncResult(False, k + 1, eng.decode_state(nxt),
-                                  trajectory)
-            seen[key] = k + 1
-        C = nxt
-    return SyncResult(False, max_rounds, eng.decode_state(C), trajectory)
-
-
-def delta_run_vectorized(network: Network, schedule: Schedule,
-                         start: RoutingState, max_steps: int = 2_000,
-                         stability_window: Optional[int] = None,
-                         keep_history: bool = False,
-                         engine: Optional[VectorizedEngine] = None
-                         ) -> AsyncResult:
-    """Vectorized drop-in for :func:`repro.core.asynchronous.delta_run`.
-
-    Identical history semantics: the code-matrix history is a
-    :class:`~repro.core.incremental.BoundedHistory` ring buffer sized by
-    ``schedule.max_read_back() + 2`` (full list when the schedule
-    declares no bound or ``keep_history`` is set), and convergence uses
-    the same constant-window + σ-stable criterion.
-    """
-    eng = engine if engine is not None else VectorizedEngine(network)
-    eng.refresh()
-    max_read_back = schedule.max_read_back()
-    if stability_window is None:
-        stability_window = (max_read_back or 1) + 2
-    C0 = eng.encode_state(start)
-    full = keep_history or max_read_back is None
-    history = ([C0] if full
-               else BoundedHistory(C0, window=max_read_back + 2))
-    beta = schedule.beta
-    unchanged = 0
-
-    def result(converged: bool, t: int, C, converged_at):
-        decoded_history = None
-        if keep_history:
-            decoded_history = [eng.decode_state(h) for h in history]
-        return AsyncResult(converged, t, eng.decode_state(C), converged_at,
-                           decoded_history, history_retained=len(history))
-
-    for t in range(1, max_steps + 1):
-        prev = history[t - 1]
-        nxt = None
-        for i in schedule.alpha(t):
-            row = eng._delta_row(history, t, i, beta)
-            if not np.array_equal(row, prev[i]):
-                if nxt is None:
-                    nxt = prev.copy()
-                nxt[i] = row
-        changed = nxt is not None
-        if nxt is None:
-            nxt = prev                   # share the unchanged matrix
-        history.append(nxt)
-        unchanged = 0 if changed else unchanged + 1
-        if unchanged >= stability_window and \
-                np.array_equal(eng._sigma_codes(nxt), nxt):
-            return result(True, t, nxt, t - unchanged)
-    return result(False, max_steps, history[max_steps], None)
-
-
-def sigma_churn(network: Network, start: RoutingState,
-                max_rounds: int = 10_000,
-                engine: Optional[VectorizedEngine] = None):
-    """``(converged, rounds, total entry changes, final state)`` of the
-    σ iteration.
-
-    The churn measurement
-    (:meth:`repro.session.RoutingSession.sigma` with ``measure_churn``,
-    behind :func:`repro.analysis.convergence.measure_sync`) on codes:
-    instead of decoding every trajectory state and comparing
-    O(rounds · n²) route pairs in Python, diff consecutive code
-    matrices with numpy — sound because a finite encoding maps equal
-    routes to equal codes and distinct routes to distinct codes.
-    Counts exactly what the object path counts, without materialising
-    the trajectory.
-    """
-    eng = engine if engine is not None else VectorizedEngine(network)
-    eng.refresh()
-    C = eng.encode_state(start)
-    churn = 0
-    dirty = None
-    for k in range(max_rounds):
-        nxt, dirty = eng._advance(C, dirty)
-        if dirty.size == 0:
-            return True, k, churn, eng.decode_state(C)
-        churn += int((nxt[:, dirty] != C[:, dirty]).sum())
-        C = nxt
-    return False, max_rounds, churn, eng.decode_state(C)
-
-
-def iterate_sigma_batched(network: Network,
-                          starts: Sequence[RoutingState],
-                          max_rounds: int = 10_000,
-                          keep_trajectory: bool = False,
-                          detect_cycles: bool = False,
-                          engine: Optional[BatchedVectorizedEngine] = None
-                          ) -> List[SyncResult]:
-    """σ fixed-point iteration for many starts as one tensor workload.
-
-    Every round applies σ to the whole live stack at once; each trial's
-    :class:`~repro.core.synchronous.SyncResult` (convergence, round
-    count, fixed point, optional trajectory / cycle detection) is
-    identical to a solo :func:`iterate_sigma_vectorized` run, and
-    finished trials drop out of the stack.
-    """
-    eng = engine if engine is not None else BatchedVectorizedEngine(network)
-    eng.refresh()
-    B = len(starts)
-    results: List[Optional[SyncResult]] = [None] * B
-    if B == 0:
-        return []
-    C = np.stack([eng.encode_state(s) for s in starts])
-    live = np.ones(B, dtype=bool)
-    trajs = [[s] if keep_trajectory else None for s in starts]
-    seens = ([{C[b].tobytes(): 0} for b in range(B)]
-             if detect_cycles else None)
-    for k in range(max_rounds):
-        idx = np.nonzero(live)[0]
-        if idx.size == 0:
-            break
-        new = eng._sigma_codes_batch(C[idx])
-        for pos, b in enumerate(idx.tolist()):
-            nxt = new[pos]
-            if keep_trajectory:
-                trajs[b].append(eng.decode_state(nxt))
-            if np.array_equal(nxt, C[b]):
-                results[b] = SyncResult(True, k, eng.decode_state(C[b]),
-                                        trajs[b])
-                live[b] = False
-                continue
-            if detect_cycles:
-                key = nxt.tobytes()
-                if key in seens[b]:
-                    results[b] = SyncResult(False, k + 1,
-                                            eng.decode_state(nxt), trajs[b])
-                    live[b] = False
-                    continue
-                seens[b][key] = k + 1
-            C[b] = nxt
-    for b in np.nonzero(live)[0].tolist():
-        results[b] = SyncResult(False, max_rounds, eng.decode_state(C[b]),
-                                trajs[b])
-    return results
-
-
-def delta_run_batched(network: Network, schedule: Schedule,
-                      start: RoutingState, max_steps: int = 2_000,
-                      stability_window: Optional[int] = None,
-                      engine: Optional[BatchedVectorizedEngine] = None
-                      ) -> AsyncResult:
-    """Single-trial δ through the batched kernel (the B = 1 grid).
-
-    Exists so ``delta_run(engine="batched")`` exercises exactly the
-    code path the grid driver uses — the differential oracle runs every
-    engine through the same selectors.
-    """
-    eng = engine if engine is not None else BatchedVectorizedEngine(network)
-    return eng.delta_grid([(schedule, start)], max_steps=max_steps,
-                          stability_window=stability_window)[0]
-
-
-def absolute_convergence_batched(
-        network: Network,
-        starts: Sequence[RoutingState],
-        schedules: Sequence[Schedule],
-        max_steps: int = 2_000,
-        engine: Optional[BatchedVectorizedEngine] = None,
-        batch_size: Optional[int] = 64) -> AbsoluteConvergenceReport:
-    """The absolute-convergence grid as one (chunked) tensor workload.
-
-    Drop-in for
-    :func:`repro.core.asynchronous.absolute_convergence_experiment` on
-    finite algebras: same trial order (starts major), same report —
-    runs, convergence flags, first-occurrence-ordered distinct fixed
-    points and convergence steps.  ``batch_size`` bounds the ring's
-    batch axis (``None`` stacks the whole grid at once).
-    """
-    eng = engine if engine is not None else BatchedVectorizedEngine(network)
-    # compile each distinct schedule once up front — chunked grids
-    # would otherwise re-wrap (and, for undeclared staleness bounds,
-    # re-derive) per chunk; delta_grid's own ensure() is then a no-op
-    compiled: dict = {}
-
-    def _compile(sched):
-        comp = compiled.get(id(sched))
-        if comp is None:
-            comp = CompiledSchedule.ensure(sched, max_steps)
-            compiled[id(sched)] = comp
-        return comp
-
-    trials = [(_compile(sched), start)
-              for start in starts for sched in schedules]
-    chunk = len(trials) if not batch_size else max(1, int(batch_size))
-    results: List[AsyncResult] = []
-    for lo in range(0, len(trials), chunk):
-        results.extend(eng.delta_grid(trials[lo:lo + chunk],
-                                      max_steps=max_steps))
-    alg = network.algebra
-    fixed_points: List[RoutingState] = []
-    steps: List[int] = []
-    all_converged = True
-    for res in results:
-        if not res.converged:
-            all_converged = False
-            continue
-        steps.append(res.converged_at or res.steps)
-        if not any(res.state.equals(fp, alg) for fp in fixed_points):
-            fixed_points.append(res.state)
-    return AbsoluteConvergenceReport(len(trials), all_converged,
-                                     fixed_points, steps)

@@ -1,6 +1,6 @@
 """Event-driven message-passing DBF simulator.
 
-Where :func:`repro.core.asynchronous.delta_run` executes the paper's δ
+Where :meth:`repro.session.RoutingSession.delta` executes the paper's δ
 recursion against an abstract schedule, this simulator executes a
 *protocol*: nodes hold tables and neighbour caches, send triggered
 updates when their tables change, and periodically refresh their
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.algebra import Route
-from ..core.capabilities import resolve_engine, warn_deprecated
+from ..core.capabilities import resolve_engine
 from ..core.state import Network, RoutingState
 from ..core.synchronous import ENGINES, is_stable
 from .messages import LinkConfig, RELIABLE
@@ -361,26 +361,3 @@ class Simulator:
                 self._refresh_active[i] = True
                 phase = self.rng.uniform(0, self.refresh_interval)
                 self._push(self.now + phase, "refresh", (i,))
-
-
-def simulate(network: Network, start: Optional[RoutingState] = None,
-             seed: int = 0, link_config=None,
-             refresh_interval: float = 10.0, quiet_period: float = 30.0,
-             max_time: float = 10_000.0,
-             engine: str = "incremental",
-             workers: Optional[int] = None) -> SimulationResult:
-    """One-shot convenience wrapper around :class:`Simulator`.
-
-    .. deprecated::
-        Thin shim over :meth:`repro.session.RoutingSession.simulate`,
-        which negotiates the σ-check engine explicitly and manages its
-        lifetime.  Delegates there and emits a
-        :class:`DeprecationWarning`; results are bit-identical.
-    """
-    warn_deprecated("simulate()", "RoutingSession.simulate()")
-    from ..session import EngineSpec, RoutingSession
-    with RoutingSession(network, EngineSpec(engine, workers=workers)) as s:
-        return s.simulate(start, seed=seed, link_config=link_config,
-                          refresh_interval=refresh_interval,
-                          quiet_period=quiet_period,
-                          max_time=max_time).result

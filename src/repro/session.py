@@ -47,10 +47,10 @@ What the session owns:
   for δ — the :class:`~repro.core.schedule.RandomSchedule` seed-mapping
   version the run's schedules assume.
 
-The legacy free functions (``iterate_sigma``, ``delta_run``,
-``absolute_convergence_experiment``, ``run_absolute_convergence``,
-``simulate``) survive as deprecation shims that delegate here;
-``tests/core/test_session_api.py`` holds them bit-identical.
+Below the session, each codes-based rung is an engine object with
+``iterate``/``delta`` methods (the batched rung adds ``iterate_batch``
+and ``delta_grid``); the object-model rungs run the loops in
+:mod:`repro.core.synchronous` and :mod:`repro.core.asynchronous`.
 """
 
 from __future__ import annotations
@@ -81,7 +81,11 @@ from .core.schedule import (
 )
 from .core.state import Network, RoutingState
 from .core.synchronous import SyncResult, _iterate_sigma_resolved
-from .core.vectorized import sigma_churn, supports_vectorized
+from .core.vectorized import (
+    BatchedVectorizedEngine,
+    VectorizedEngine,
+    supports_vectorized,
+)
 from .core.wire import WireStats
 
 #: compiled schedules one session keeps, least recently used evicted
@@ -512,10 +516,8 @@ class RoutingSession:
             eng = None
         if eng is None:
             if rung == "vectorized":
-                from .core.vectorized import VectorizedEngine
                 eng = VectorizedEngine(self.network)
             elif rung == "batched":
-                from .core.vectorized import BatchedVectorizedEngine
                 eng = BatchedVectorizedEngine(self.network)
                 if self.spec.batch_dtype is not None:
                     eng.batch_dtype_override = _validated_dtype(
@@ -605,12 +607,11 @@ class RoutingSession:
                 and resolution.chosen in ("vectorized", "parallel",
                                           "batched", "remote") \
                 and supports_vectorized(net.algebra):
-            from .core.vectorized import VectorizedEngine
             eng = self._engines.get("vectorized")
             if eng is None:
                 eng = self._engines["vectorized"] = VectorizedEngine(net)
-            converged, rounds, churn, state = sigma_churn(
-                net, start, max_rounds=max_rounds, engine=eng)
+            converged, rounds, churn, state = eng.sigma_churn(
+                start, max_rounds=max_rounds)
             result = SyncResult(converged, rounds, state, None)
         else:
             result = _iterate_sigma_resolved(

@@ -13,14 +13,14 @@ The parallel engine is exercised with an explicit ``workers=2`` pool
 (auto mode would decline these small nets and single-CPU CI hosts —
 exactly the fallback it is supposed to take); one pool is shared across
 the lockstep and δ phases of each oracle call and torn down in a
-``finally``, while the σ fixed-point phase goes through the public
-``iterate_sigma(engine="parallel")`` selector so the dispatch path is
+``finally``, while the σ fixed-point phase goes through
+``RoutingSession.sigma`` on a parallel session so the dispatch path is
 covered too.  Parallel δ runs through the *windowed* IPC protocol at
 its default window, plus an explicit ``window=1`` run (the per-step
 protocol) on the first schedule to pin both wire formats to the same
-results.  The batched engine is exercised per schedule through the
-``delta_run(engine="batched")`` selector (the B = 1 grid) *and* as one
-multi-trial ``delta_grid`` over every schedule at once — each trial of
+results.  The batched engine is exercised per schedule through
+``RoutingSession.delta`` on a batched session (the B = 1 grid) *and* as
+one multi-trial ``delta_grid`` over every schedule at once — each trial of
 the grid must match the strict literal recursion for its schedule.
 
 ``assert_engines_agree`` is the reusable oracle; other test modules and
@@ -169,8 +169,7 @@ def assert_engines_agree(net, schedules=(), lockstep_rounds=10,
 
     Driven through :class:`repro.session.RoutingSession` — one session
     per ladder rung, so the dispatch path under test is exactly the
-    public facade (and its capability negotiation), not the deprecated
-    free functions:
+    public facade and its capability negotiation:
 
     * per-round lockstep: naive σ vs incremental dirty-set propagation
       vs the vectorized single-round ``VectorizedEngine.sigma`` vs the

@@ -38,6 +38,7 @@ from repro.core import (
     RemoteVectorizedEngine,
     RemoteWorkerError,
     RoutingState,
+    VectorizedEngine,
     WireClosedError,
     WireError,
     WireFormatError,
@@ -59,10 +60,6 @@ from repro.core.wire import (
     MSG_DELTA_STEPS,
     MSG_UPDATE,
     FrameConnection,
-)
-from repro.core.vectorized import (
-    delta_run_vectorized,
-    iterate_sigma_vectorized,
 )
 from repro.topologies import erdos_renyi, uniform_weight_factory
 
@@ -311,7 +308,7 @@ class TestWireInjection:
 def sigma_ref():
     net = _net(9)
     start = RoutingState.identity(net.algebra, net.n)
-    return net, start, iterate_sigma_vectorized(net, start, max_rounds=300)
+    return net, start, VectorizedEngine(net).iterate(start, max_rounds=300)
 
 
 @pytest.fixture(scope="module")
@@ -319,8 +316,8 @@ def delta_ref():
     net = _net(9)
     start = RoutingState.identity(net.algebra, net.n)
     sched = RandomSchedule(net.n, seed=2, max_delay=3)
-    return net, start, sched, delta_run_vectorized(net, sched, start,
-                                                   max_steps=300)
+    return net, start, sched, VectorizedEngine(net).delta(
+        sched, start, max_steps=300)
 
 
 def _assert_sigma_identical(res, ref, net):
@@ -599,9 +596,8 @@ class TestSessionDegraded:
                           socket_timeout=1.0, fault_plan=plan)
         with RoutingSession(net, spec) as session:
             report = _watchdog(lambda: session.sigma())
-        ref = iterate_sigma_vectorized(
-            net, RoutingState.identity(net.algebra, net.n),
-            max_rounds=10_000)
+        ref = VectorizedEngine(net).iterate(
+            RoutingState.identity(net.algebra, net.n), max_rounds=10_000)
         assert report.state.equals(ref.state, net.algebra)
         assert report.degraded and \
             report.degraded[0].code == "worker-respawned"

@@ -62,11 +62,7 @@ from repro.core import (
     serve_worker,
 )
 from repro.core.remote import REMOTE_MIN_N
-from repro.core.vectorized import (
-    VectorizedEngine,
-    delta_run_vectorized,
-    iterate_sigma_vectorized,
-)
+from repro.core.vectorized import VectorizedEngine
 from repro.core.wire import (
     MAGIC,
     MSG_ACK,
@@ -300,7 +296,7 @@ class TestLoopbackBitIdentity:
         start = RoutingState.identity(net.algebra, net.n)
         with RemoteVectorizedEngine(net, workers=2) as eng:
             rem = eng.iterate(start, keep_trajectory=True)
-        ref = iterate_sigma_vectorized(net, start, keep_trajectory=True)
+        ref = VectorizedEngine(net).iterate(start, keep_trajectory=True)
         assert rem.converged == ref.converged
         assert rem.rounds == ref.rounds
         assert len(rem.trajectory) == len(ref.trajectory)
@@ -314,7 +310,7 @@ class TestLoopbackBitIdentity:
             for _ in range(3):
                 start = random_state(net.algebra, net.n, rng)
                 rem = eng.iterate(start)
-                ref = iterate_sigma_vectorized(net, start)
+                ref = VectorizedEngine(net).iterate(start)
                 assert rem.converged == ref.converged
                 assert rem.rounds == ref.rounds
                 assert rem.state.equals(ref.state, net.algebra)
@@ -325,7 +321,7 @@ class TestLoopbackBitIdentity:
         with RemoteVectorizedEngine(net, workers=2) as eng:
             for sched in _schedules(net.n):
                 rem = eng.delta(sched, start, max_steps=400)
-                ref = delta_run_vectorized(net, sched, start, max_steps=400)
+                ref = VectorizedEngine(net).delta(sched, start, max_steps=400)
                 assert rem.converged == ref.converged, repr(sched)
                 assert rem.steps == ref.steps, repr(sched)
                 assert rem.converged_at == ref.converged_at, repr(sched)
@@ -339,7 +335,7 @@ class TestLoopbackBitIdentity:
         sched = RandomSchedule(net.n, seed=9, max_delay=3)
         with RemoteVectorizedEngine(net, workers=2) as eng:
             rem = eng.delta(sched, start, max_steps=300, window=1)
-        ref = delta_run_vectorized(net, sched, start, max_steps=300)
+        ref = VectorizedEngine(net).delta(sched, start, max_steps=300)
         assert rem.converged == ref.converged
         assert rem.steps == ref.steps
         assert rem.converged_at == ref.converged_at
@@ -382,7 +378,7 @@ class TestLoopbackBitIdentity:
                                 keep_results=True)
             assert grid.resolution.chosen == "remote"
             rem = grid.results[0]
-        ref = delta_run_vectorized(net, sched, start, max_steps=300)
+        ref = VectorizedEngine(net).delta(sched, start, max_steps=300)
         assert rem.converged == ref.converged
         assert rem.steps == ref.steps
         assert rem.state.equals(ref.state, net.algebra)
@@ -400,7 +396,7 @@ class TestFailureModes:
         net = _net(9)
         start = RoutingState.identity(net.algebra, net.n)
         sched = RandomSchedule(net.n, seed=2, max_delay=3)
-        ref = delta_run_vectorized(net, sched, start, max_steps=300)
+        ref = VectorizedEngine(net).delta(sched, start, max_steps=300)
         eng = RemoteVectorizedEngine(net, workers=2, socket_timeout=30.0)
         try:
             eng.iterate(start)          # establish the pool
@@ -667,7 +663,7 @@ class TestCLIWorker:
             with RemoteVectorizedEngine(net, endpoints=endpoints,
                                         socket_timeout=30.0) as eng:
                 rem = eng.iterate(start)
-            ref = iterate_sigma_vectorized(net, start)
+            ref = VectorizedEngine(net).iterate(start)
             assert rem.rounds == ref.rounds
             assert rem.state.equals(ref.state, net.algebra)
             for proc in procs:           # --once: exit after the session

@@ -1,12 +1,15 @@
-"""The session facade contract: negotiation, reports, shims, resources.
+"""The session facade contract: equivalence, negotiation, reports,
+resources.
 
 Four obligations pinned here:
 
-1. **Deprecation shims are bit-identical** — every legacy free function
-   (``iterate_sigma``, ``delta_run``, ``absolute_convergence_experiment``,
-   ``run_absolute_convergence``, ``simulate``) must produce exactly the
-   result of the session API it delegates to, and must warn exactly
-   once per call.
+1. **The code-level paths are bit-identical** — the session's σ, δ,
+   grid, convergence and simulation reports equal what the code-level
+   drivers produce on a standalone engine object outside any session
+   (the rung drivers ``_iterate_sigma_resolved`` /
+   ``_delta_run_resolved``, a per-trial loop with its own
+   distinct-fixed-point fold, the documented ``converges`` grid, and a
+   bare :class:`~repro.protocols.simulator.Simulator`).
 2. **Reason chains are exact** — for every (algebra × engine) pair of
    the oracle matrix the :class:`~repro.core.capabilities.EngineResolution`
    skip chain is asserted code-for-code, and ``strict=True`` raises
@@ -20,7 +23,6 @@ Four obligations pinned here:
 """
 
 import random
-import warnings
 
 import pytest
 
@@ -41,15 +43,17 @@ from repro.core import (
     Schedule,
     SynchronousSchedule,
     UnsupportedEngineError,
-    absolute_convergence_experiment,
-    delta_run,
-    iterate_sigma,
+    random_state,
     resolve_engine,
+    schedule_zoo,
     supports_parallel,
     supports_vectorized,
 )
-from repro.analysis import run_absolute_convergence
-from repro.protocols import LinkConfig, simulate
+from repro.core.asynchronous import _delta_run_resolved
+from repro.core.parallel import ParallelVectorizedEngine
+from repro.core.synchronous import _iterate_sigma_resolved
+from repro.core.vectorized import BatchedVectorizedEngine, VectorizedEngine
+from repro.protocols import LinkConfig, Simulator
 from repro.session import (
     EngineSpec,
     RoutingSession,
@@ -127,116 +131,160 @@ class _UnboundedSchedule(Schedule):
         return t - 1
 
 
-def assert_one_warning(record):
-    dep = [w for w in record if issubclass(w.category, DeprecationWarning)]
-    assert len(dep) == 1, \
-        f"expected exactly one DeprecationWarning, saw {len(dep)}"
-
-
-def shim_call(fn, *args, **kwargs):
-    """Call a legacy shim asserting it warns exactly once."""
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        result = fn(*args, **kwargs)
-    assert_one_warning(record)
-    return result
-
-
 # ----------------------------------------------------------------------
-# 1. Shim equivalence (bit-identical + warns exactly once)
+# 1. The code-level paths equal the session
 # ----------------------------------------------------------------------
 
 
-class TestShimEquivalence:
+def _standalone_engine(net, resolution):
+    """A fresh engine object for a resolution's rung, built outside any
+    session (``None`` on the object-model rungs).  This matrix
+    configures no remote transport, so the remote rung never wins."""
+    rung = resolution.chosen
+    if rung == "vectorized":
+        return VectorizedEngine(net)
+    if rung == "batched":
+        return BatchedVectorizedEngine(net)
+    if rung == "parallel":
+        return ParallelVectorizedEngine(net, workers=resolution.workers)
+    assert rung in ("naive", "incremental"), rung
+    return None
+
+
+def _close(eng):
+    if eng is not None and hasattr(eng, "close"):
+        eng.close()
+
+
+class TestCodeLevelEquivalence:
     @pytest.mark.parametrize("build", [_hop, _shortest],
                              ids=["finite", "non-finite"])
     @pytest.mark.parametrize("rung", ENGINES)
-    def test_iterate_sigma(self, build, rung):
+    def test_sigma(self, build, rung):
         net = build()
         start = RoutingState.identity(net.algebra, net.n)
         workers = 2 if rung == "parallel" else None
-        legacy = shim_call(iterate_sigma, net, start, engine=rung,
-                           workers=workers, keep_trajectory=True)
+        resolution = resolve_engine(net, rung, "sigma", workers=workers)
+        eng = _standalone_engine(net, resolution)
+        try:
+            code = _iterate_sigma_resolved(net, start, resolution.chosen,
+                                           keep_trajectory=True,
+                                           engine_obj=eng)
+        finally:
+            _close(eng)
         with RoutingSession(net, EngineSpec(rung, workers=workers)) as s:
             report = s.sigma(start, keep_trajectory=True)
-        assert legacy.converged == report.converged
-        assert legacy.rounds == report.rounds
-        assert legacy.state.equals(report.state, net.algebra)
-        assert len(legacy.trajectory) == len(report.trajectory)
-        for a, b in zip(legacy.trajectory, report.trajectory):
+        assert report.resolution.chosen == resolution.chosen
+        assert code.converged == report.converged
+        assert code.rounds == report.rounds
+        assert code.state.equals(report.state, net.algebra)
+        assert len(code.trajectory) == len(report.trajectory)
+        for a, b in zip(code.trajectory, report.trajectory):
             assert a.equals(b, net.algebra)
 
     @pytest.mark.parametrize("build", [_finite_chain, _bgplite],
                              ids=["finite", "non-finite"])
     @pytest.mark.parametrize("mode", ["default", "strict", "keep_history"])
-    def test_delta_run(self, build, mode):
+    def test_delta(self, build, mode):
         net = build()
         start = RoutingState.identity(net.algebra, net.n)
         sched = RandomSchedule(net.n, seed=7, max_delay=4)
         kwargs = {"strict": mode == "strict",
                   "keep_history": mode == "keep_history"}
-        legacy = shim_call(delta_run, net, sched, start, max_steps=300,
-                           **kwargs)
+        resolution = resolve_engine(net, "auto", "delta", schedule=sched,
+                                    keep_history=kwargs["keep_history"],
+                                    literal=kwargs["strict"])
+        eng = _standalone_engine(net, resolution)
+        try:
+            code = _delta_run_resolved(net, sched, start, resolution.chosen,
+                                       max_steps=300,
+                                       keep_history=kwargs["keep_history"],
+                                       engine_obj=eng)
+        finally:
+            _close(eng)
         with RoutingSession(net) as s:
             report = s.delta(sched, start, max_steps=300, **kwargs)
-        assert legacy.converged == report.converged
-        assert legacy.converged_at == report.converged_at
-        assert legacy.steps == report.steps
-        assert legacy.state.equals(report.state, net.algebra)
-        assert legacy.history_retained == report.history_retained
+        assert report.resolution.chosen == resolution.chosen
+        assert code.converged == report.converged
+        assert code.converged_at == report.converged_at
+        assert code.steps == report.steps
+        assert code.state.equals(report.state, net.algebra)
+        assert code.history_retained == report.history_retained
         if mode == "keep_history":
-            assert len(legacy.history) == len(report.history)
+            assert len(code.history) == len(report.history)
 
     @pytest.mark.parametrize("rung", ENGINES)
-    def test_absolute_convergence_experiment(self, rung):
+    def test_grid(self, rung):
         net = _hop(8, seed=3)
         rng = random.Random(0)
-        from repro.core import random_state
         starts = [RoutingState.identity(net.algebra, net.n),
                   random_state(net.algebra, net.n, rng)]
         schedules = [SynchronousSchedule(net.n),
                      RandomSchedule(net.n, seed=2, max_delay=3)]
+        trials = [(sched, start) for start in starts for sched in schedules]
         workers = 2 if rung == "parallel" else None
-        legacy = shim_call(absolute_convergence_experiment, net, starts,
-                           schedules, max_steps=400, engine=rung,
-                           workers=workers)
+        # the code-level experiment: one run per trial on one standalone
+        # engine, then the distinct-fixed-point fold done by hand
+        resolution = resolve_engine(net, rung, "grid", workers=workers)
+        eng = _standalone_engine(net, resolution)
+        try:
+            results = [_delta_run_resolved(net, sched, start,
+                                           resolution.chosen, max_steps=400,
+                                           engine_obj=eng)
+                       for sched, start in trials]
+        finally:
+            _close(eng)
+        fixed_points = []
+        for res in results:
+            if res.converged and not any(res.state.equals(fp, net.algebra)
+                                         for fp in fixed_points):
+                fixed_points.append(res.state)
         with RoutingSession(net, EngineSpec(rung, workers=workers)) as s:
-            grid = s.delta_grid(
-                [(sched, start) for start in starts for sched in schedules],
-                max_steps=400)
-        assert legacy.runs == grid.runs
-        assert legacy.all_converged == grid.all_converged
-        assert legacy.convergence_steps == grid.convergence_steps
-        assert len(legacy.distinct_fixed_points) == \
-            len(grid.distinct_fixed_points)
-        for a, b in zip(legacy.distinct_fixed_points,
-                        grid.distinct_fixed_points):
+            grid = s.delta_grid(trials, max_steps=400)
+        assert grid.resolution.chosen == resolution.chosen
+        assert grid.runs == len(results)
+        assert grid.all_converged == all(r.converged for r in results)
+        assert grid.convergence_steps == [r.converged_at or r.steps
+                                          for r in results if r.converged]
+        assert len(grid.distinct_fixed_points) == len(fixed_points)
+        for a, b in zip(fixed_points, grid.distinct_fixed_points):
             assert a.equals(b, net.algebra)
 
-    def test_run_absolute_convergence(self):
+    def test_converges(self):
         net = _hop(7, seed=5)
-        legacy = shim_call(run_absolute_convergence, net, n_starts=2,
-                           seed=1, max_steps=400)
+        # converges() is documented as the clean start plus n_starts
+        # sampled states against the seed's schedule zoo
+        rng = random.Random(1)
+        starts = [RoutingState.identity(net.algebra, net.n)]
+        starts += [random_state(net.algebra, net.n, rng) for _ in range(2)]
+        trials = [(sched, start) for start in starts
+                  for sched in schedule_zoo(net.n, seeds=(1, 18))]
+        with RoutingSession(net) as s:
+            grid = s.delta_grid(trials, max_steps=400)
         with RoutingSession(net) as s:
             report = s.converges(n_starts=2, seed=1, max_steps=400)
-        assert legacy.runs == report.grid.runs
-        assert legacy.all_converged == report.grid.all_converged
-        assert legacy.convergence_steps == report.grid.convergence_steps
-        assert legacy.absolute == report.absolute
+        assert grid.runs == report.grid.runs
+        assert grid.all_converged == report.grid.all_converged
+        assert grid.convergence_steps == report.grid.convergence_steps
+        assert grid.absolute == report.absolute
 
     def test_simulate(self):
         net = _hop(6, seed=8)
         cfg = LinkConfig(min_delay=0.2, max_delay=2.0, loss=0.1,
                          duplicate=0.05)
-        legacy = shim_call(simulate, net, seed=4, link_config=cfg,
-                           refresh_interval=5.0, quiet_period=20.0)
+        sim = Simulator(net, seed=4, link_config=cfg, refresh_interval=5.0,
+                        quiet_period=20.0)
+        try:
+            code = sim.run()
+        finally:
+            sim.close()
         with RoutingSession(net) as s:
             report = s.simulate(seed=4, link_config=cfg,
                                 refresh_interval=5.0, quiet_period=20.0)
-        assert legacy.converged == report.converged
-        assert legacy.final_state.equals(report.final_state, net.algebra)
-        assert legacy.stats.as_dict() == report.stats.as_dict()
-        assert legacy.convergence_time == report.convergence_time
+        assert code.converged == report.converged
+        assert code.final_state.equals(report.final_state, net.algebra)
+        assert code.stats.as_dict() == report.stats.as_dict()
+        assert code.convergence_time == report.convergence_time
 
 
 # ----------------------------------------------------------------------

@@ -32,11 +32,7 @@ from repro.core.shard import (
     sigma_round,
     split_columns,
 )
-from repro.core.vectorized import (
-    VectorizedEngine,
-    delta_run_vectorized,
-    iterate_sigma_vectorized,
-)
+from repro.core.vectorized import VectorizedEngine
 from repro.topologies import erdos_renyi, uniform_weight_factory
 
 
@@ -154,7 +150,7 @@ class TestSigmaRound:
         starts = [RoutingState.identity(net.algebra, net.n),
                   random_state(net.algebra, net.n, rng)]
         for start in starts:
-            ref = iterate_sigma_vectorized(net, start)
+            ref = VectorizedEngine(net).iterate(start)
             ref_codes = eng.encode_state(ref.state)
             for shards in range(1, net.n + 1):
                 converged, rounds, codes = _sharded_sigma(eng, snap, start,
@@ -175,7 +171,7 @@ class TestDeltaWindow:
         for sched in (RoundRobinSchedule(net.n),
                       FixedDelaySchedule(net.n, delay=2),
                       RandomSchedule(net.n, seed=6, max_delay=3)):
-            ref = delta_run_vectorized(net, sched, start, max_steps=300)
+            ref = VectorizedEngine(net).delta(sched, start, max_steps=300)
             for shards in range(1, net.n + 1):
                 res = _sharded_delta(eng, snap, sched, start, shards, 300,
                                      window)

@@ -6,6 +6,7 @@ Lemmas 8–10 (path-vector contraction), Theorem 4's precondition bundle.
 """
 
 import random
+import warnings
 
 import pytest
 
@@ -21,12 +22,12 @@ from repro.core import (
     check_strictly_contracting_on_orbits,
     check_ultrametric_axioms,
     enumerate_consistent_routes,
-    iterate_sigma,
     random_state,
     route_heights,
     sigma,
     theorem4_preconditions,
 )
+from repro.session import RoutingSession
 from tests.conftest import hop_net, shortest_pv_net
 
 
@@ -196,7 +197,8 @@ class TestLemma9And10:
         net = shortest_pv_net(4, seed=4)
         metric = PathVectorUltrametric(net)
         alg = net.algebra
-        fp = iterate_sigma(net, RoutingState.identity(alg, 4)).state
+        fp = RoutingSession(net, "incremental").sigma(
+            RoutingState.identity(alg, 4)).state
         rng = random.Random(7)
         states = [random_state(alg, 4, rng) for _ in range(8)]
         out = check_contracting_on_fixed_point(metric, net, fp, states,
@@ -207,8 +209,8 @@ class TestLemma9And10:
         """Lemma 10's key step: X* cannot contain inconsistent routes."""
         net = shortest_pv_net(4, seed=5)
         metric = PathVectorUltrametric(net)
-        fp = iterate_sigma(
-            net, RoutingState.identity(net.algebra, net.n)).state
+        fp = RoutingSession(net, "incremental").sigma(
+            RoutingState.identity(net.algebra, net.n)).state
         for (_i, _j, r) in fp.entries():
             assert metric.is_consistent(r)
 
@@ -222,4 +224,25 @@ class TestTheorem4Bundle:
         routes = list(net.algebra.routes())
         checks = theorem4_preconditions(metric, net, states, routes)
         for c in checks:
+            assert c.holds, c
+
+    def test_omitted_fixed_point_computes_it_without_warnings(self):
+        """Without ``fixed_point`` the bundle iterates σ itself; library
+        code must not warn while doing so, and the outcomes must match
+        the bundle given that fixed point explicitly."""
+        net = hop_net(4, bound=6)
+        metric = DistanceVectorUltrametric(net.algebra)
+        rng = random.Random(8)
+        states = [random_state(net.algebra, 4, rng) for _ in range(6)]
+        routes = list(net.algebra.routes())
+        fp = RoutingSession(net, "incremental").sigma(states[0]).fixed_point
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            implicit = theorem4_preconditions(metric, net, states, routes)
+        explicit = theorem4_preconditions(metric, net, states, routes,
+                                          fixed_point=fp)
+        assert [(c.name, c.holds, c.cases) for c in implicit] == \
+            [(c.name, c.holds, c.cases) for c in explicit]
+        assert any("fixed point" in c.name for c in implicit)
+        for c in implicit:
             assert c.holds, c

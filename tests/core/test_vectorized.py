@@ -35,14 +35,11 @@ from repro.core import (
     SynchronousSchedule,
     UnsupportedAlgebraError,
     VectorizedEngine,
-    delta_run,
-    delta_run_vectorized,
-    iterate_sigma,
-    iterate_sigma_vectorized,
     sigma,
     supports_vectorized,
 )
 from repro.protocols.simulator import Simulator
+from repro.session import RoutingSession
 from repro.topologies import erdos_renyi, uniform_weight_factory
 
 
@@ -194,8 +191,8 @@ class TestNonFiniteGuard:
         net = erdos_renyi(alg, 8, 0.3, uniform_weight_factory(alg, 1, 5),
                           seed=2)
         start = RoutingState.identity(alg, net.n)
-        vec = iterate_sigma(net, start, engine="vectorized")
-        inc = iterate_sigma(net, start, engine="incremental")
+        vec = RoutingSession(net, "vectorized").sigma(start)
+        inc = RoutingSession(net, "incremental").sigma(start)
         assert vec.converged and vec.rounds == inc.rounds
         assert vec.state.equals(inc.state, alg)
 
@@ -203,8 +200,10 @@ class TestNonFiniteGuard:
         net = good_gadget()
         start = RoutingState.identity(net.algebra, net.n)
         sched = RandomSchedule(net.n, seed=1, max_delay=3)
-        vec = delta_run(net, sched, start, max_steps=400, engine="vectorized")
-        inc = delta_run(net, sched, start, max_steps=400)
+        vec = RoutingSession(net, "vectorized").delta(
+            sched, start, max_steps=400)
+        inc = RoutingSession(net, "incremental").delta(
+            sched, start, max_steps=400)
         assert vec.converged == inc.converged
         assert vec.converged_at == inc.converged_at
         assert vec.state.equals(inc.state, net.algebra)
@@ -213,9 +212,10 @@ class TestNonFiniteGuard:
         net = _hop_net(4)
         start = RoutingState.identity(net.algebra, net.n)
         with pytest.raises(ValueError):
-            iterate_sigma(net, start, engine="quantum")
+            RoutingSession(net, "quantum").sigma(start)
         with pytest.raises(ValueError):
-            delta_run(net, SynchronousSchedule(net.n), start, engine="quantum")
+            RoutingSession(net, "quantum").delta(SynchronousSchedule(net.n),
+                                                 start)
         with pytest.raises(ValueError):
             Simulator(net, engine="quantum")
 
@@ -234,12 +234,11 @@ class TestVectorizedCacheInvalidation:
         net = _hop_net(10, seed=3)
         alg = net.algebra
         eng = VectorizedEngine(net)
-        fp = iterate_sigma_vectorized(net, RoutingState.identity(alg, net.n),
-                                      engine=eng).state
+        fp = eng.iterate(RoutingState.identity(alg, net.n)).state
         net.set_edge(0, net.n - 1, alg.edge(1))
         net.set_edge(net.n - 1, 0, alg.edge(1))
-        fp2 = iterate_sigma_vectorized(net, fp, engine=eng).state
-        ref = iterate_sigma(net, fp, engine="naive").state
+        fp2 = eng.iterate(fp).state
+        ref = RoutingSession(net, "naive").sigma(fp).state
         assert fp2.equals(ref, alg)
         assert not fp2.equals(fp, alg)       # the shortcut was visible
 
@@ -248,11 +247,11 @@ class TestVectorizedCacheInvalidation:
         alg = net.algebra
         eng = VectorizedEngine(net)
         start = RoutingState.identity(alg, net.n)
-        fp = iterate_sigma_vectorized(net, start, engine=eng).state
+        fp = eng.iterate(start).state
         i, k = next(iter(net.present_edges()))
         net.remove_edge(i, k)
-        fp2 = iterate_sigma_vectorized(net, fp, engine=eng).state
-        ref = iterate_sigma(net, fp, engine="naive").state
+        fp2 = eng.iterate(fp).state
+        ref = RoutingSession(net, "naive").sigma(fp).state
         assert fp2.equals(ref, alg)
 
     def test_replacing_edge_function_refreshes_table(self):
@@ -265,11 +264,10 @@ class TestVectorizedCacheInvalidation:
         net.set_edge(1, 2, alg.edge(1))
         net.set_edge(2, 1, alg.edge(1))
         eng = VectorizedEngine(net)
-        fp = iterate_sigma_vectorized(
-            net, RoutingState.identity(alg, net.n), engine=eng).state
+        fp = eng.iterate(RoutingState.identity(alg, net.n)).state
         assert fp.get(0, 2) == 2
         net.set_edge(0, 1, alg.edge(5))
-        fp2 = iterate_sigma_vectorized(net, fp, engine=eng).state
+        fp2 = eng.iterate(fp).state
         assert fp2.get(0, 2) == 6
 
     def test_delta_after_topology_change(self):
@@ -278,13 +276,12 @@ class TestVectorizedCacheInvalidation:
         eng = VectorizedEngine(net)
         sched = RandomSchedule(net.n, seed=2, max_delay=4)
         start = RoutingState.identity(alg, net.n)
-        mid = delta_run_vectorized(net, sched, start, max_steps=500,
-                                   engine=eng)
+        mid = eng.delta(sched, start, max_steps=500)
         assert mid.converged
         net.set_edge(0, net.n - 1, alg.edge(1))
-        vec = delta_run_vectorized(net, sched, mid.state, max_steps=500,
-                                   engine=eng)
-        strict = delta_run(net, sched, mid.state, max_steps=500, strict=True)
+        vec = eng.delta(sched, mid.state, max_steps=500)
+        strict = RoutingSession(net, "incremental").delta(
+            sched, mid.state, max_steps=500, strict=True)
         assert vec.converged and strict.converged
         assert vec.state.equals(strict.state, alg)
 
@@ -309,7 +306,7 @@ class TestBoundedHistorySemantics:
         net = _hop_net(10, seed=7)
         sched = RandomSchedule(net.n, seed=1, max_delay=5)
         start = RoutingState.identity(net.algebra, net.n)
-        res = delta_run_vectorized(net, sched, start, max_steps=600)
+        res = VectorizedEngine(net).delta(sched, start, max_steps=600)
         assert res.converged
         assert res.history_retained <= sched.max_read_back() + 2
 
@@ -323,7 +320,8 @@ class TestBoundedHistorySemantics:
 
         net = _hop_net(6, p=0.4, seed=8)
         start = RoutingState.identity(net.algebra, net.n)
-        res = delta_run_vectorized(net, HalfTime(net.n), start, max_steps=300)
+        res = VectorizedEngine(net).delta(HalfTime(net.n), start,
+                                          max_steps=300)
         assert res.converged
         assert res.history_retained == res.steps + 1
 
@@ -331,9 +329,10 @@ class TestBoundedHistorySemantics:
         net = _hop_net(6, p=0.4, seed=9)
         sched = FixedDelaySchedule(net.n, delay=2)
         start = RoutingState.identity(net.algebra, net.n)
-        vec = delta_run_vectorized(net, sched, start, max_steps=300,
-                                   keep_history=True)
-        ref = delta_run(net, sched, start, max_steps=300, keep_history=True)
+        vec = VectorizedEngine(net).delta(sched, start, max_steps=300,
+                                          keep_history=True)
+        ref = RoutingSession(net, "incremental").delta(
+            sched, start, max_steps=300, keep_history=True)
         assert vec.converged and len(vec.history) == len(ref.history)
         for mine, theirs in zip(vec.history, ref.history):
             assert mine.equals(theirs, net.algebra)
@@ -386,10 +385,10 @@ class TestHypothesisDeltaEquivalence:
         net = data.draw(finite_table_networks())
         sched = data.draw(schedules_for(net.n))
         start = RoutingState.identity(net.algebra, net.n)
-        strict = delta_run(net, sched, start, max_steps=60, strict=True,
-                           keep_history=True)
-        vec = delta_run_vectorized(net, sched, start, max_steps=60,
-                                   keep_history=True)
+        strict = RoutingSession(net, "incremental").delta(
+            sched, start, max_steps=60, strict=True, keep_history=True)
+        vec = VectorizedEngine(net).delta(sched, start, max_steps=60,
+                                          keep_history=True)
         assert vec.converged == strict.converged
         assert vec.steps == strict.steps
         assert vec.converged_at == strict.converged_at
@@ -403,8 +402,9 @@ class TestHypothesisDeltaEquivalence:
         net = data.draw(finite_table_networks())
         sched = data.draw(schedules_for(net.n))
         start = RoutingState.identity(net.algebra, net.n)
-        strict = delta_run(net, sched, start, max_steps=60, strict=True)
-        vec = delta_run_vectorized(net, sched, start, max_steps=60)
+        strict = RoutingSession(net, "incremental").delta(
+            sched, start, max_steps=60, strict=True)
+        vec = VectorizedEngine(net).delta(sched, start, max_steps=60)
         assert vec.converged == strict.converged
         assert vec.steps == strict.steps
         assert vec.state.equals(strict.state, net.algebra)

@@ -69,3 +69,13 @@ class TestExamples:
         assert "Seattle" in out                    # corpus labels survive
         assert "link-down" in out and "node-up" in out
         assert "all converged: True" in out
+
+    def test_batched_grid(self):
+        out = run_example("batched_grid.py")
+        assert "absolute convergence      : True" in out
+        assert "absolute=True" in out
+
+    def test_service_quickstart(self):
+        out = run_example("service_quickstart.py")
+        assert "new digest matches" in out
+        assert "daemon stopped cleanly: True" in out
